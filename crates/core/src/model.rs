@@ -337,8 +337,11 @@ impl DeepOHeat {
 
     /// Graph-free trunk features `Φ` (`n_points × q`) for a batch of
     /// normalized coordinates: the Fourier layer (when configured)
-    /// followed by the trunk MLP, dispatched in fixed row chunks on the
-    /// worker pool.
+    /// followed by the trunk MLP, both dispatched together in fixed
+    /// [`DEFAULT_TRUNK_CHUNK`]-row blocks on the worker pool. Rows are
+    /// independent, so `Φ` is bit-identical to an unchunked pass at any
+    /// thread count. Each block is written straight into `Φ`, so the pass
+    /// holds no second full-size copy.
     ///
     /// # Errors
     ///
@@ -346,11 +349,34 @@ impl DeepOHeat {
     /// `points × 3`.
     pub fn trunk_features_inference(&self, coords: &Matrix) -> Result<Matrix, DeepOHeatError> {
         self.check_coords(coords)?;
+        let (n_points, q) = (coords.rows(), self.latent_dim());
+        let mut phi = vec![0.0; n_points * q];
+        // One (rows of Φ, outcome) slot per block; the first failing block
+        // in index order supplies the error, whatever the pool width.
+        let mut blocks: Vec<(&mut [f64], Result<(), DeepOHeatError>)> =
+            phi.chunks_mut(DEFAULT_TRUNK_CHUNK * q).map(|rows| (rows, Ok(()))).collect();
+        deepoheat_parallel::par_chunks_mut(&mut blocks, 1, |i, slot| {
+            for (rows, outcome) in slot {
+                let start = i * DEFAULT_TRUNK_CHUNK;
+                *outcome = coords
+                    .row_block(start..start + rows.len() / q)
+                    .map_err(DeepOHeatError::from)
+                    .and_then(|sub| self.trunk_block(sub))
+                    .map(|features| rows.copy_from_slice(features.as_slice()));
+            }
+        });
+        blocks.into_iter().try_for_each(|(_, outcome)| outcome)?;
+        Ok(Matrix::from_vec(n_points, q, phi)?)
+    }
+
+    /// Trunk features of one block of coordinate rows: Fourier layer
+    /// (when configured), then the trunk MLP.
+    fn trunk_block(&self, coords: Matrix) -> Result<Matrix, DeepOHeatError> {
         let trunk_in = match &self.fourier {
-            Some(ff) => ff.forward_inference(coords)?,
-            None => coords.clone(),
+            Some(ff) => ff.forward_inference(&coords)?,
+            None => coords,
         };
-        Ok(self.trunk.forward_inference_chunked(&trunk_in, DEFAULT_TRUNK_CHUNK)?)
+        Ok(self.trunk.forward_inference(&trunk_in)?)
     }
 
     /// Evaluates the temperature (Kelvin, after the output transform) of
@@ -394,14 +420,7 @@ impl DeepOHeat {
         let n_configs = embedding.n_configs();
         let chunk = if chunk_rows == 0 { n_points.max(1) } else { chunk_rows };
         let blocks = deepoheat_parallel::par_try_map_chunks(n_points, chunk, |range| {
-            let sub = coords.row_block(range)?;
-            let phi = {
-                let trunk_in = match &self.fourier {
-                    Some(ff) => ff.forward_inference(&sub)?,
-                    None => sub,
-                };
-                self.trunk.forward_inference(&trunk_in)?
-            };
+            let phi = self.trunk_block(coords.row_block(range)?)?;
             Ok::<Matrix, DeepOHeatError>(embedding.features().matmul_transposed_affine(
                 &phi,
                 self.output_offset,
@@ -770,6 +789,32 @@ mod tests {
             let pool = deepoheat_parallel::ThreadPool::new(threads);
             let batched = pool.install(|| model.eval_trunk_batch(&emb, &y, 8)).unwrap();
             assert_eq!(sequential, batched, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn chunked_trunk_features_are_bit_identical_to_unchunked_at_any_width() {
+        let mut r = rng();
+        // Ragged: two full DEFAULT_TRUNK_CHUNK blocks and a partial one.
+        let y = Matrix::from_fn(2 * DEFAULT_TRUNK_CHUNK + 37, 3, |i, j| {
+            0.003 * i as f64 - 0.2 * j as f64 + 0.1
+        });
+        let plain_cfg = DeepOHeatConfig::single_branch(4, &[8], &[8, 8], 6);
+        for model in [
+            DeepOHeat::new(&small_config(), &mut r).unwrap(),
+            DeepOHeat::new(&plain_cfg, &mut r).unwrap(),
+        ] {
+            let trunk_in = match model.fourier() {
+                Some(ff) => ff.forward_inference(&y).unwrap(),
+                None => y.clone(),
+            };
+            let unchunked = model.trunk().forward_inference(&trunk_in).unwrap();
+            assert_eq!(model.trunk_features_inference(&y).unwrap(), unchunked);
+            for threads in [1, 3] {
+                let pool = deepoheat_parallel::ThreadPool::new(threads);
+                let under = pool.install(|| model.trunk_features_inference(&y)).unwrap();
+                assert_eq!(under, unchunked, "threads = {threads}");
+            }
         }
     }
 

@@ -154,40 +154,6 @@ impl Mlp {
         }
         last.forward_inference(h.as_ref().unwrap_or(x))
     }
-
-    /// Graph-free forward pass dispatched in fixed row chunks on the
-    /// `deepoheat-parallel` pool.
-    ///
-    /// Every layer of [`Mlp::forward_inference`] is row-independent
-    /// (each output row is a function of the matching input row alone), so
-    /// forwarding `chunk_rows`-sized blocks and stitching them back in
-    /// chunk-index order is **bit-identical** to the unchunked pass at any
-    /// thread count — chunk boundaries depend only on `x.rows()` and
-    /// `chunk_rows`, never on the pool width. A batch that fits in one
-    /// chunk (or `chunk_rows == 0`) falls through to the plain pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x.cols() != self.input_dim()`.
-    pub fn forward_inference_chunked(
-        &self,
-        x: &Matrix,
-        chunk_rows: usize,
-    ) -> Result<Matrix, NnError> {
-        let n = x.rows();
-        if chunk_rows == 0 || n <= chunk_rows {
-            return self.forward_inference(x);
-        }
-        let blocks = deepoheat_parallel::par_try_map_chunks(n, chunk_rows, |range| {
-            let block = x.row_block(range)?;
-            self.forward_inference(&block).map(Matrix::into_vec)
-        })?;
-        let mut data = Vec::with_capacity(n * self.output_dim());
-        for block in blocks {
-            data.extend_from_slice(&block);
-        }
-        Ok(Matrix::from_vec(n, self.output_dim(), data)?)
-    }
 }
 
 impl Parameterized for Mlp {
@@ -335,24 +301,6 @@ mod tests {
             let a2 = g.value(out.d2[axis]).as_slice()[0];
             assert!((a1 - fd1).abs() < 1e-6, "axis {axis}: {a1} vs {fd1}");
             assert!((a2 - fd2).abs() < 1e-4, "axis {axis}: {a2} vs {fd2}");
-        }
-    }
-
-    #[test]
-    fn chunked_inference_is_bit_identical_to_plain() {
-        let mut r = rng();
-        let mlp = Mlp::new(&MlpConfig::new(3, &[16, 16], 4, Activation::Swish), &mut r).unwrap();
-        let x = Matrix::from_fn(37, 3, |i, j| 0.05 * (i as f64) - 0.3 * (j as f64) + 0.1);
-        let plain = mlp.forward_inference(&x).unwrap();
-        for chunk in [1, 5, 16, 37, 1000, 0] {
-            let chunked = mlp.forward_inference_chunked(&x, chunk).unwrap();
-            assert_eq!(plain, chunked, "chunk_rows = {chunk}");
-        }
-        // ... and across pool widths.
-        for threads in [1, 3] {
-            let pool = deepoheat_parallel::ThreadPool::new(threads);
-            let under = pool.install(|| mlp.forward_inference_chunked(&x, 8)).unwrap();
-            assert_eq!(plain, under, "threads = {threads}");
         }
     }
 

@@ -64,7 +64,8 @@ impl CacheKey {
     }
 }
 
-/// Hit/miss/eviction counters of an [`EmbeddingCache`].
+/// Hit/miss/eviction counters of an [`EmbeddingCache`] (and of the
+/// engine's trunk-basis slot, [`crate::InferenceEngine::basis_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned a cached embedding.

@@ -82,6 +82,11 @@ impl ServeOptions {
 /// embedding. Repeated designs therefore pay the branch cost once, and
 /// answers are bit-identical to a cold single-query evaluation.
 ///
+/// The trunk side is memoised too, in a single slot: once the same query
+/// coordinates (compared bit for bit) arrive twice in a row, the engine
+/// keeps their trunk features `Φ` and later requests on that mesh pay
+/// only the combine `offset + scale · B Φᵀ`. See [`eval_trunk_batch`].
+///
 /// [`encode_branches`]: InferenceEngine::encode_branches
 /// [`eval_trunk_batch`]: InferenceEngine::eval_trunk_batch
 #[derive(Debug)]
@@ -92,7 +97,23 @@ pub struct InferenceEngine {
     lowered: Option<TrunkF32>,
     options: ServeOptions,
     cache: EmbeddingCache,
+    basis: TrunkBasis,
     shut_down: bool,
+}
+
+/// The single-slot trunk basis: the last query coordinates seen and,
+/// once they have repeated, their trunk features `Φ` (`n_points × q`).
+#[derive(Debug, Default)]
+struct TrunkBasis {
+    coords: Option<Matrix>,
+    phi: Option<Arc<Matrix>>,
+    stats: CacheStats,
+}
+
+/// Same shape and the same bit pattern in every entry, so `0.0` and
+/// `-0.0` (or two NaN payloads) are different coordinates.
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape() && a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl InferenceEngine {
@@ -109,7 +130,14 @@ impl InferenceEngine {
             Precision::F64 => None,
             Precision::F32 => Some(model.lower_trunk()),
         };
-        Ok(InferenceEngine { model, lowered, options, cache, shut_down: false })
+        Ok(InferenceEngine {
+            model,
+            lowered,
+            options,
+            cache,
+            basis: TrunkBasis::default(),
+            shut_down: false,
+        })
     }
 
     /// The wrapped model.
@@ -130,6 +158,14 @@ impl InferenceEngine {
     /// Number of embeddings currently resident in the cache.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
+    }
+
+    /// Snapshot of the trunk-basis counters: `hits` are trunk evaluations
+    /// served from a resident `Φ`, `misses` every other `F64` evaluation
+    /// (including the one that builds `Φ`), `evictions` the resident `Φ`s
+    /// dropped for a different coordinate set.
+    pub fn basis_stats(&self) -> CacheStats {
+        self.basis.stats
     }
 
     /// Returns the branch embedding for one input-function set, encoding
@@ -167,11 +203,85 @@ impl InferenceEngine {
     /// through the worker pool. Returns the `n_configs × n_points`
     /// temperature matrix. Emits the `serve.queries` counter.
     ///
+    /// With [`Precision::F64`] the call goes through the trunk-basis slot.
+    /// When `coords` equals the slot's coordinates bit for bit and their
+    /// `Φ` is resident, only the combine runs (`serve.basis.hits`). When
+    /// they equal the slot's coordinates but `Φ` is not yet built, this is
+    /// their first repeat: `Φ` is built (`serve.basis.fill` span) and kept.
+    /// Any other set replaces the slot's coordinates, drops its `Φ`, and
+    /// runs the fused chunked trunk. Both misses count towards
+    /// `serve.basis.misses`. Every path is bit-identical to
+    /// [`DeepOHeat::predict`] at any pool width.
+    ///
     /// # Errors
     ///
     /// Returns [`ServeError::Model`] when the embedding's latent width or
     /// the coordinate dimension does not match the model.
     pub fn eval_trunk_batch(
+        &mut self,
+        embedding: &BranchEmbedding,
+        coords: &Matrix,
+    ) -> Result<Matrix, ServeError> {
+        match self.trunk_basis(coords)? {
+            Some(phi) => self.combine(embedding, &phi),
+            None => self.eval_trunk_rows(embedding, coords),
+        }
+    }
+
+    /// Looks `coords` up in the trunk-basis slot, returning the resident
+    /// (or freshly built) `Φ` on a match and recording `coords` otherwise.
+    /// `F32` engines have no basis and always get `None`.
+    pub(crate) fn trunk_basis(
+        &mut self,
+        coords: &Matrix,
+    ) -> Result<Option<Arc<Matrix>>, ServeError> {
+        if self.lowered.is_some() {
+            return Ok(None);
+        }
+        let basis = &mut self.basis;
+        if !basis.coords.as_ref().is_some_and(|c| same_bits(c, coords)) {
+            if basis.phi.take().is_some() {
+                basis.stats.evictions += 1;
+            }
+            basis.coords = Some(coords.clone());
+            basis.stats.misses += 1;
+            telemetry::counter("serve.basis.misses", 1);
+            return Ok(None);
+        }
+        if let Some(phi) = &basis.phi {
+            basis.stats.hits += 1;
+            telemetry::counter("serve.basis.hits", 1);
+            return Ok(Some(Arc::clone(phi)));
+        }
+        basis.stats.misses += 1;
+        telemetry::counter("serve.basis.misses", 1);
+        let _span = telemetry::span("serve.basis.fill");
+        let phi = Arc::new(self.model.trunk_features_inference(coords)?);
+        self.basis.phi = Some(Arc::clone(&phi));
+        Ok(Some(phi))
+    }
+
+    /// The trunk-skipping half of [`InferenceEngine::eval_trunk_batch`]:
+    /// `offset + scale · B Φᵀ` in the fused kernel the chunked path uses
+    /// per chunk, so the two agree bit for bit.
+    pub(crate) fn combine(
+        &self,
+        embedding: &BranchEmbedding,
+        phi: &Matrix,
+    ) -> Result<Matrix, ServeError> {
+        let _span = telemetry::span("serve.trunk");
+        let (offset, scale) = self.model.output_transform();
+        let out = embedding
+            .features()
+            .matmul_transposed_affine(phi, offset, scale)
+            .map_err(|e| ServeError::Model(e.into()))?;
+        telemetry::counter("serve.queries", phi.rows() as u64);
+        Ok(out)
+    }
+
+    /// Fused chunked trunk evaluation that neither reads nor replaces the
+    /// trunk-basis slot.
+    pub(crate) fn eval_trunk_rows(
         &self,
         embedding: &BranchEmbedding,
         coords: &Matrix,
@@ -189,8 +299,9 @@ impl InferenceEngine {
     /// batched trunk evaluation. The whole call is wrapped in a
     /// `serve.request` span — one trace per request — feeding the
     /// `serve.request.seconds` latency histogram with child spans for the
-    /// encode (`serve.encode`, cache misses only) and trunk
-    /// (`serve.trunk`) phases.
+    /// encode (`serve.encode`, cache misses only), trunk-basis fill
+    /// (`serve.basis.fill`, first repeat of a coordinate set only) and
+    /// trunk or combine (`serve.trunk`) phases.
     ///
     /// # Errors
     ///
@@ -324,6 +435,23 @@ mod tests {
             let under = pool.install(|| narrow.eval_trunk_batch(&emb, &coords)).unwrap();
             assert_eq!(base, under, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn basis_hit_rejects_a_foreign_embedding() {
+        let mut engine =
+            InferenceEngine::new(model(), ServeOptions::default()).expect("valid options");
+        let input = Matrix::filled(1, 4, 0.5);
+        let coords = Matrix::filled(3, 3, 0.1);
+        // Record the mesh, then build its Φ.
+        engine.predict(&[&input], &coords).expect("cold");
+        engine.predict(&[&input], &coords).expect("fill");
+        let cfg = deepoheat::DeepOHeatConfig::single_branch(4, &[8], &[8], 3);
+        let other = DeepOHeat::new(&cfg, &mut StdRng::seed_from_u64(1)).expect("valid config");
+        let foreign = other.encode_branches(&[&input]).expect("encode");
+        let err = engine.eval_trunk_batch(&foreign, &coords).expect_err("latent mismatch");
+        assert!(matches!(err, ServeError::Model(_)));
+        assert_eq!(engine.basis_stats().hits, 1, "the mismatch was caught on the hit path");
     }
 
     #[test]

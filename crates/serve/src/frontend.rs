@@ -751,10 +751,11 @@ fn handle_job(shared: &Arc<Shared>, shard: usize, engine: &mut InferenceEngine, 
 }
 
 /// One serving attempt: injected-fault checks, cache-aware encode, and a
-/// deadline-aware chunked trunk evaluation. Chunk boundaries come from
-/// the query count and `trunk_chunk` only, and trunk rows are
-/// independent, so the stitched result is bit-identical to a single
-/// uninterrupted `eval_trunk_batch` call.
+/// deadline-aware trunk evaluation. A resident trunk basis leaves a
+/// single combine; otherwise the trunk runs chunk by chunk. Chunk
+/// boundaries come from the query count and `trunk_chunk` only, and trunk
+/// rows are independent, so the stitched result is bit-identical to a
+/// single uninterrupted `eval_trunk_batch` call.
 fn run_attempt(
     shared: &Shared,
     engine: &mut InferenceEngine,
@@ -775,8 +776,17 @@ fn run_attempt(
     if job.deadline.is_none() {
         return engine.eval_trunk_batch(&embedding, &job.coords).map_err(AttemptError::Permanent);
     }
+    // The whole coordinate set is looked up once: a hit (or the fill on
+    // its first repeat) leaves one combine, so the budget is checked once.
+    if let Some(phi) = engine.trunk_basis(&job.coords).map_err(AttemptError::Permanent)? {
+        if shared.expired(job.deadline) {
+            return Err(AttemptError::Deadline("trunk"));
+        }
+        return engine.combine(&embedding, &phi).map_err(AttemptError::Permanent);
+    }
     // Deadline propagation: evaluate chunk by chunk, checking the budget
     // between chunks so an oversized batch stops once its time is gone.
+    // Sub-blocks bypass the basis slot, so they never replace it.
     let n_points = job.coords.rows();
     let chunk = engine.options().trunk_chunk;
     let mut blocks = Vec::new();
@@ -789,7 +799,7 @@ fn run_attempt(
             .coords
             .row_block(range)
             .map_err(|e| AttemptError::Permanent(ServeError::Model(e.into())))?;
-        let block = engine.eval_trunk_batch(&embedding, &sub).map_err(AttemptError::Permanent)?;
+        let block = engine.eval_trunk_rows(&embedding, &sub).map_err(AttemptError::Permanent)?;
         n_configs = block.rows();
         blocks.push(block);
     }

@@ -14,7 +14,9 @@
 //!    of the sensor values ([`CacheKey`]);
 //! 2. [`InferenceEngine::eval_trunk_batch`] — evaluate the trunk for a
 //!    whole batch of query points in fixed-size chunks through the shared
-//!    worker pool and combine with the embedding.
+//!    worker pool and combine with the embedding. The trunk features of a
+//!    query-coordinate set that arrives twice in a row are kept in a
+//!    single slot, so later designs on that mesh pay only the combine.
 //!
 //! Results are bit-identical to a cold per-query evaluation at any
 //! `DEEPOHEAT_NUM_THREADS` setting: chunk boundaries derive only from the
@@ -24,7 +26,8 @@
 //! misses, and evicts identically every run.
 //!
 //! Telemetry: the engine emits `serve.cache.hits`, `serve.cache.misses`,
-//! `serve.cache.evictions`, and `serve.queries` counters through
+//! `serve.cache.evictions`, `serve.basis.hits`, `serve.basis.misses`, and
+//! `serve.queries` counters through
 //! [`deepoheat_telemetry`] when a recorder is installed, and is free of
 //! overhead otherwise.
 //!
