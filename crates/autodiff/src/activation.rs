@@ -55,6 +55,33 @@ impl Activation {
         }
     }
 
+    /// `[σ, σ', σ'', σ''']` at `x` from one evaluation of the underlying
+    /// transcendental (one sigmoid, one `tanh`, or one `sin`/`cos` pair).
+    /// Entry `k` has the same bits as [`Activation::eval`]`(k, x)`: both
+    /// evaluate the same expressions in the same order. The fused jet op
+    /// ([`Graph::jet_activate`](crate::Graph::jet_activate)) uses it so a
+    /// jet layer costs one transcendental per element.
+    pub fn jet_derivatives(self, x: f64) -> [f64; 4] {
+        match self {
+            Activation::Swish => {
+                let s = sigmoid(x);
+                let s1 = s * (1.0 - s);
+                let s2 = s1 * (1.0 - 2.0 * s);
+                let s3 = s2 * (1.0 - 2.0 * s) - 2.0 * s1 * s1;
+                [x * s, s + x * s1, 2.0 * s1 + x * s2, 3.0 * s2 + x * s3]
+            }
+            Activation::Tanh => {
+                let t = x.tanh();
+                let t1 = 1.0 - t * t;
+                [t, t1, -2.0 * t * t1, -2.0 * t1 * (1.0 - 3.0 * t * t)]
+            }
+            Activation::Sine => {
+                let (sin, cos) = (x.sin(), x.cos());
+                [sin, cos, -sin, -cos]
+            }
+        }
+    }
+
     /// Returns a short lowercase name, used in experiment logs and bench IDs.
     pub fn name(self) -> &'static str {
         match self {
@@ -136,6 +163,21 @@ mod tests {
                     assert!(
                         (analytic - numeric).abs() < 1e-6,
                         "{act} order {order} at {x}: analytic {analytic} vs fd {numeric}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn jet_derivatives_match_eval_bitwise() {
+        for act in [Activation::Swish, Activation::Tanh, Activation::Sine] {
+            for &x in &[-800.0, -3.0, -1.0, -0.1, -0.0, 0.0, 1e-300, 0.3, 1.7, 4.0, 800.0] {
+                for (order, v) in act.jet_derivatives(x).iter().enumerate() {
+                    assert_eq!(
+                        v.to_bits(),
+                        act.eval(order as u8, x).to_bits(),
+                        "{act} {order} {x}"
                     );
                 }
             }

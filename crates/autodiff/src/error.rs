@@ -3,6 +3,8 @@ use std::fmt;
 
 use deepoheat_linalg::LinalgError;
 
+use crate::JetChannel;
+
 /// Errors produced when building or differentiating a computation graph.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -32,6 +34,17 @@ pub enum AutodiffError {
         /// The highest order available.
         max: u8,
     },
+    /// A jet channel was read that the jet does not carry: it was never
+    /// propagated.
+    MissingChannel {
+        /// The channel that was asked for.
+        channel: JetChannel,
+    },
+    /// A jet op was given a node that is not a stacked jet.
+    NotAJet {
+        /// The offending node id.
+        id: usize,
+    },
 }
 
 impl fmt::Display for AutodiffError {
@@ -47,6 +60,10 @@ impl fmt::Display for AutodiffError {
             AutodiffError::NonScalarLoss { shape } => {
                 write!(f, "backward requires a 1x1 scalar loss, got {}x{}", shape.0, shape.1)
             }
+            AutodiffError::MissingChannel { channel } => {
+                write!(f, "jet channel {channel} was not propagated")
+            }
+            AutodiffError::NotAJet { id } => write!(f, "node {id} is not a stacked jet"),
         }
     }
 }

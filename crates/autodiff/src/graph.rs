@@ -1,5 +1,7 @@
 use deepoheat_linalg::{LinalgError, Matrix};
+use deepoheat_parallel as parallel;
 
+use crate::jet::{self, JetChannel, JetChannels};
 use crate::{Activation, AutodiffError};
 
 /// A handle to a node in a [`Graph`].
@@ -55,6 +57,13 @@ enum Op {
     Mean(Var),
     /// Scalar `sum(A)`.
     Sum(Var),
+    /// A dense layer over every channel of the jet `x`: `x W`, plus the
+    /// bias row `b` on the value block.
+    JetLinear { x: Var, w: Var, b: Var },
+    /// An activation over every channel of a jet.
+    JetActivate(Var, Activation),
+    /// `A · Jᵀ` for the row block `block` of the jet node `jet`.
+    MatMulTransposedChannel { a: Var, jet: Var, block: usize },
 }
 
 #[derive(Debug, Clone)]
@@ -62,6 +71,84 @@ struct Node {
     op: Op,
     value: Matrix,
     requires_grad: bool,
+    /// The channels of a stacked jet node; `None` for ordinary nodes.
+    jet: Option<JetChannels>,
+}
+
+/// Gradient slots of one backward pass.
+///
+/// A jet node's gradient arrives one channel block at a time, and
+/// `present[id]` records which blocks hold one. The first contribution to
+/// a block is stored, never added to zeros, exactly as for a whole node
+/// (adding a `-0.0` contribution to `+0.0` would flip its sign). Blocks
+/// that received nothing stay zero. An ordinary node is one block.
+struct Slots {
+    grads: Vec<Option<Matrix>>,
+    present: Vec<u8>,
+}
+
+impl Slots {
+    /// Adds `delta` to the gradient of `var`, a node of `shape` split into
+    /// `blocks` equal row blocks. `delta` holds whole blocks starting at
+    /// block `first`; only those whose bit is set in `mask` count.
+    fn add(
+        &mut self,
+        var: Var,
+        shape: (usize, usize),
+        blocks: usize,
+        first: usize,
+        mut delta: Matrix,
+        mask: u8,
+    ) -> Result<(), AutodiffError> {
+        let block_len = shape.0 / blocks.max(1) * shape.1;
+        let count = delta.len().checked_div(block_len).unwrap_or(blocks);
+        if delta.cols() != shape.1 || count * block_len != delta.len() || first + count > blocks {
+            return Err(LinalgError::ShapeMismatch {
+                op: "gradient",
+                lhs: shape,
+                rhs: delta.shape(),
+            }
+            .into());
+        }
+        let id = var.id;
+        if self.present[id] == 0 && first == 0 && count == blocks {
+            for b in (0..blocks).filter(|b| mask & (1 << b) == 0) {
+                delta.as_mut_slice()[b * block_len..(b + 1) * block_len].fill(0.0);
+            }
+            self.grads[id] = Some(delta);
+            self.present[id] = mask;
+            return Ok(());
+        }
+        let slot = self.grads[id].get_or_insert_with(|| Matrix::zeros(shape.0, shape.1));
+        for i in 0..count {
+            let bit = 1 << (first + i);
+            if mask & bit == 0 {
+                continue;
+            }
+            let src = &delta.as_slice()[i * block_len..(i + 1) * block_len];
+            let dst = &mut slot.as_mut_slice()[(first + i) * block_len..][..block_len];
+            if self.present[id] & bit == 0 {
+                dst.copy_from_slice(src);
+            } else {
+                parallel::par_chunks_mut(dst, ADD_CHUNK, |ci, chunk| {
+                    let off = ci * ADD_CHUNK;
+                    for (j, v) in chunk.iter_mut().enumerate() {
+                        *v += src[off + j];
+                    }
+                });
+            }
+            self.present[id] |= bit;
+        }
+        Ok(())
+    }
+}
+
+/// Elements per pooled job when a contribution is added to a gradient.
+const ADD_CHUNK: usize = 64 * 1024;
+
+/// The mask with the first `blocks` bits set.
+fn all_blocks(blocks: usize) -> u8 {
+    ((1u16 << blocks) - 1) as u8
 }
 
 /// Gradients of a scalar loss with respect to every node that requires
@@ -145,8 +232,18 @@ impl Graph {
     }
 
     fn push(&mut self, op: Op, value: Matrix, requires_grad: bool) -> Var {
+        self.push_jet(op, value, requires_grad, None)
+    }
+
+    fn push_jet(
+        &mut self,
+        op: Op,
+        value: Matrix,
+        requires_grad: bool,
+        jet: Option<JetChannels>,
+    ) -> Var {
         let id = self.nodes.len();
-        self.nodes.push(Node { op, value, requires_grad });
+        self.nodes.push(Node { op, value, requires_grad, jet });
         Var { id }
     }
 
@@ -324,6 +421,107 @@ impl Graph {
         Ok(self.push(Op::Activate(a, act, order), value, rg))
     }
 
+    /// Inserts a stacked jet leaf: `value` holds the carried `channels` as
+    /// equal row blocks in stacking order ([`JetChannels::iter`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the row count is not a multiple of the channel
+    /// count.
+    pub fn jet_leaf(
+        &mut self,
+        value: Matrix,
+        channels: JetChannels,
+        requires_grad: bool,
+    ) -> Result<Var, AutodiffError> {
+        if !value.rows().is_multiple_of(channels.len()) {
+            return Err(LinalgError::InvalidDimension {
+                op: "jet_leaf",
+                what: format!(
+                    "{} rows do not split into {} channels",
+                    value.rows(),
+                    channels.len()
+                ),
+            }
+            .into());
+        }
+        Ok(self.push_jet(Op::Leaf, value, requires_grad, Some(channels)))
+    }
+
+    /// Whether `var` requires gradients (`false` for a foreign handle).
+    pub fn requires_grad(&self, var: Var) -> bool {
+        self.nodes.get(var.id).is_some_and(|n| n.requires_grad)
+    }
+
+    fn jet_of(&self, var: Var) -> Result<JetChannels, AutodiffError> {
+        self.check(var)?;
+        self.nodes[var.id].jet.ok_or(AutodiffError::NotAJet { id: var.id })
+    }
+
+    /// A dense layer over every channel of the jet `x` as one op: one GEMM
+    /// `X W` over the stacked channels, plus the `1 × cols` bias `b` on the
+    /// value block (the derivative of a constant is zero). Values and
+    /// gradients are bit-identical to a per-channel `matmul` (and
+    /// `add_row_broadcast` on the value).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a handle is foreign, `x` is not a jet node, or
+    /// the shapes disagree.
+    pub fn jet_linear(&mut self, x: Var, w: Var, b: Var) -> Result<Var, AutodiffError> {
+        let channels = self.jet_of(x)?;
+        self.check(w)?;
+        self.check(b)?;
+        let xv = &self.nodes[x.id].value;
+        let points = xv.rows() / channels.len();
+        let value =
+            jet::linear_forward(xv, &self.nodes[w.id].value, &self.nodes[b.id].value, points)?;
+        let rg = self.rg(x) || self.rg(w) || self.rg(b);
+        Ok(self.push_jet(Op::JetLinear { x, w, b }, value, rg, Some(channels)))
+    }
+
+    /// Applies `act` to a jet as one op, with one transcendental per
+    /// element forward and backward:
+    /// `a = σ(z)`, `aᵢ = σ'(z) zᵢ`, `aᵢᵢ = σ''(z) zᵢ² + σ'(z) zᵢᵢ`.
+    /// Values and gradients are bit-identical to the composition of three
+    /// `activation` nodes and the per-channel `mul`/`square`/`add` nodes.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the handle is foreign or not a jet node.
+    pub fn jet_activate(&mut self, z: Var, act: Activation) -> Result<Var, AutodiffError> {
+        let channels = self.jet_of(z)?;
+        let value = jet::activate_forward(&self.nodes[z.id].value, channels, act);
+        let rg = self.rg(z);
+        Ok(self.push_jet(Op::JetActivate(z, act), value, rg, Some(channels)))
+    }
+
+    /// `a · J_cᵀ` for one channel `J_c` of the jet `jet`, read in place:
+    /// the DeepONet combine of one derivative channel. Same bits as
+    /// [`Graph::matmul_transposed`] against that channel alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AutodiffError::MissingChannel`] if the jet does not carry
+    /// `channel`, or an error if a handle is foreign, `jet` is not a jet
+    /// node, or the widths disagree.
+    pub fn matmul_transposed_channel(
+        &mut self,
+        a: Var,
+        jet: Var,
+        channel: JetChannel,
+    ) -> Result<Var, AutodiffError> {
+        let channels = self.jet_of(jet)?;
+        self.check(a)?;
+        let block = channels.block(channel).ok_or(AutodiffError::MissingChannel { channel })?;
+        let jv = &self.nodes[jet.id].value;
+        let points = jv.rows() / channels.len();
+        let j_c = jv.row_block_view(block * points..(block + 1) * points)?;
+        let value = self.nodes[a.id].value.view().matmul_transposed(j_c)?;
+        let rg = self.rg(a) || self.rg(jet);
+        Ok(self.push(Op::MatMulTransposedChannel { a, jet, block }, value, rg))
+    }
+
     /// Elementwise square `a²`.
     ///
     /// # Errors
@@ -411,77 +609,103 @@ impl Graph {
         if shape != (1, 1) {
             return Err(AutodiffError::NonScalarLoss { shape });
         }
-        let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        grads[loss.id] = Some(Matrix::filled(1, 1, 1.0));
+        let mut slots =
+            Slots { grads: vec![None; self.nodes.len()], present: vec![0; self.nodes.len()] };
+        slots.grads[loss.id] = Some(Matrix::filled(1, 1, 1.0));
+        slots.present[loss.id] = all_blocks(1);
 
         for id in (0..=loss.id).rev() {
-            let Some(grad) = grads[id].take() else { continue };
+            let Some(grad) = slots.grads[id].take() else { continue };
             let node = &self.nodes[id];
             if !node.requires_grad {
                 continue;
             }
-            self.accumulate(&mut grads, node, &grad)?;
-            grads[id] = Some(grad);
+            let present = slots.present[id];
+            self.accumulate(&mut slots, node, &grad, present)?;
+            slots.grads[id] = Some(grad);
         }
-        Ok(Gradients { grads })
+        Ok(Gradients { grads: slots.grads })
+    }
+
+    /// Adds a whole-node gradient contribution to `var`.
+    fn give(&self, slots: &mut Slots, var: Var, delta: Matrix) -> Result<(), AutodiffError> {
+        let node = &self.nodes[var.id];
+        let blocks = node.jet.map_or(1, JetChannels::len);
+        slots.add(var, node.value.shape(), blocks, 0, delta, all_blocks(blocks))
+    }
+
+    /// Adds blocks `first..` of a stacked contribution to the jet `var`,
+    /// counting those in `mask`.
+    fn give_blocks(
+        &self,
+        slots: &mut Slots,
+        var: Var,
+        first: usize,
+        delta: Matrix,
+        mask: u8,
+    ) -> Result<(), AutodiffError> {
+        let node = &self.nodes[var.id];
+        let blocks = node.jet.map_or(1, JetChannels::len);
+        slots.add(var, node.value.shape(), blocks, first, delta, mask)
     }
 
     fn accumulate(
         &self,
-        grads: &mut [Option<Matrix>],
+        slots: &mut Slots,
         node: &Node,
         grad: &Matrix,
+        present: u8,
     ) -> Result<(), AutodiffError> {
         match &node.op {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
                 if self.rg(*a) {
                     let da = grad.matmul_transposed(&self.nodes[b.id].value)?;
-                    add_grad(grads, *a, da);
+                    self.give(slots, *a, da)?;
                 }
                 if self.rg(*b) {
-                    let db = self.nodes[a.id].value.transpose().matmul(grad)?;
-                    add_grad(grads, *b, db);
+                    let db = self.nodes[a.id].value.transpose_matmul(grad)?;
+                    self.give(slots, *b, db)?;
                 }
             }
             Op::MatMulTransposed(a, b) => {
                 // C = A Bᵀ: dA = dC · B, dB = dCᵀ · A.
                 if self.rg(*a) {
                     let da = grad.matmul(&self.nodes[b.id].value)?;
-                    add_grad(grads, *a, da);
+                    self.give(slots, *a, da)?;
                 }
                 if self.rg(*b) {
-                    let db = grad.transpose().matmul(&self.nodes[a.id].value)?;
-                    add_grad(grads, *b, db);
+                    let db = grad.transpose_matmul(&self.nodes[a.id].value)?;
+                    self.give(slots, *b, db)?;
                 }
             }
             Op::Add(a, b) => {
                 if self.rg(*a) {
-                    add_grad(grads, *a, grad.clone());
+                    self.give(slots, *a, grad.clone())?;
                 }
                 if self.rg(*b) {
-                    add_grad(grads, *b, grad.clone());
+                    self.give(slots, *b, grad.clone())?;
                 }
             }
             Op::Sub(a, b) => {
                 if self.rg(*a) {
-                    add_grad(grads, *a, grad.clone());
+                    self.give(slots, *a, grad.clone())?;
                 }
                 if self.rg(*b) {
-                    add_grad(grads, *b, grad.scaled(-1.0));
+                    self.give(slots, *b, grad.scaled(-1.0))?;
                 }
             }
             Op::Mul(a, b) => {
                 if self.rg(*a) {
-                    add_grad(grads, *a, grad.hadamard(&self.nodes[b.id].value)?);
+                    self.give(slots, *a, grad.hadamard(&self.nodes[b.id].value)?)?;
                 }
                 if self.rg(*b) {
-                    add_grad(grads, *b, grad.hadamard(&self.nodes[a.id].value)?);
+                    self.give(slots, *b, grad.hadamard(&self.nodes[a.id].value)?)?;
                 }
             }
             Op::AddRowBroadcast(a, bias) => {
                 if self.rg(*a) {
-                    add_grad(grads, *a, grad.clone());
+                    self.give(slots, *a, grad.clone())?;
                 }
                 if self.rg(*bias) {
                     let mut db = Matrix::zeros(1, grad.cols());
@@ -490,7 +714,7 @@ impl Graph {
                             db[(0, c)] += g;
                         }
                     }
-                    add_grad(grads, *bias, db);
+                    self.give(slots, *bias, db)?;
                 }
             }
             Op::MulColBroadcast(a, col) => {
@@ -504,7 +728,7 @@ impl Graph {
                             *v *= s;
                         }
                     }
-                    add_grad(grads, *a, da);
+                    self.give(slots, *a, da)?;
                 }
                 if self.rg(*col) {
                     let mut dc = Matrix::zeros(av.rows(), 1);
@@ -515,17 +739,17 @@ impl Graph {
                         }
                         dc[(r, 0)] = acc;
                     }
-                    add_grad(grads, *col, dc);
+                    self.give(slots, *col, dc)?;
                 }
             }
             Op::Scale(a, s) => {
                 if self.rg(*a) {
-                    add_grad(grads, *a, grad.scaled(*s));
+                    self.give(slots, *a, grad.scaled(*s))?;
                 }
             }
             Op::AddScalar(a, _) => {
                 if self.rg(*a) {
-                    add_grad(grads, *a, grad.clone());
+                    self.give(slots, *a, grad.clone())?;
                 }
             }
             Op::Activate(a, act, order) => {
@@ -534,13 +758,13 @@ impl Graph {
                     let mut da = grad.clone();
                     let (act, order) = (*act, *order);
                     da.par_apply_with(av, |g, x| g * act.eval(order + 1, x))?;
-                    add_grad(grads, *a, da);
+                    self.give(slots, *a, da)?;
                 }
             }
             Op::Square(a) => {
                 if self.rg(*a) {
                     let da = grad.hadamard(&self.nodes[a.id].value.scaled(2.0))?;
-                    add_grad(grads, *a, da);
+                    self.give(slots, *a, da)?;
                 }
             }
             Op::HCat(a, b) => {
@@ -550,7 +774,7 @@ impl Graph {
                     for r in 0..grad.rows() {
                         da.row_mut(r).copy_from_slice(&grad.row(r)[..a_cols]);
                     }
-                    add_grad(grads, *a, da);
+                    self.give(slots, *a, da)?;
                 }
                 if self.rg(*b) {
                     let b_cols = grad.cols() - a_cols;
@@ -558,7 +782,7 @@ impl Graph {
                     for r in 0..grad.rows() {
                         db.row_mut(r).copy_from_slice(&grad.row(r)[a_cols..]);
                     }
-                    add_grad(grads, *b, db);
+                    self.give(slots, *b, db)?;
                 }
             }
             Op::MeanSquare(a) => {
@@ -566,37 +790,89 @@ impl Graph {
                     let av = &self.nodes[a.id].value;
                     let g = grad.as_slice()[0];
                     let scale = 2.0 * g / av.len().max(1) as f64;
-                    add_grad(grads, *a, av.scaled(scale));
+                    self.give(slots, *a, av.scaled(scale))?;
                 }
             }
             Op::Mean(a) => {
                 if self.rg(*a) {
                     let av = &self.nodes[a.id].value;
                     let g = grad.as_slice()[0] / av.len().max(1) as f64;
-                    add_grad(grads, *a, Matrix::filled(av.rows(), av.cols(), g));
+                    self.give(slots, *a, Matrix::filled(av.rows(), av.cols(), g))?;
                 }
             }
             Op::Sum(a) => {
                 if self.rg(*a) {
                     let av = &self.nodes[a.id].value;
                     let g = grad.as_slice()[0];
-                    add_grad(grads, *a, Matrix::filled(av.rows(), av.cols(), g));
+                    self.give(slots, *a, Matrix::filled(av.rows(), av.cols(), g))?;
+                }
+            }
+            Op::JetLinear { x, w, b } => {
+                // Per channel, reverse-mode over `x_c W` (+ `b` on the
+                // value) adds dX_c, then dW_c, channel by channel from the
+                // last; dX rows are independent, so a run of present
+                // blocks shares one GEMM.
+                let blocks = node.jet.map_or(1, JetChannels::len);
+                let points = grad.rows() / blocks;
+                let rows = |blk: usize| blk * points..(blk + 1) * points;
+                let is_present = |blk: &usize| present & (1 << blk) != 0;
+                if self.rg(*x) {
+                    let wv = self.nodes[w.id].value.view();
+                    let mut blk = 0;
+                    while blk < blocks {
+                        let start = blk;
+                        while blk < blocks && is_present(&blk) {
+                            blk += 1;
+                        }
+                        if blk > start {
+                            let run = grad.row_block_view(start * points..blk * points)?;
+                            let dx = run.matmul_transposed(wv)?;
+                            self.give_blocks(slots, *x, start, dx, present)?;
+                        }
+                        blk += 1;
+                    }
+                }
+                if self.rg(*b) && is_present(&0) {
+                    let mut db = Matrix::zeros(1, grad.cols());
+                    for r in rows(0) {
+                        for (d, &g) in db.as_mut_slice().iter_mut().zip(grad.row(r)) {
+                            *d += g;
+                        }
+                    }
+                    self.give(slots, *b, db)?;
+                }
+                if self.rg(*w) {
+                    let xv = &self.nodes[x.id].value;
+                    for blk in (0..blocks).rev().filter(is_present) {
+                        let x_c = xv.row_block_view(rows(blk))?;
+                        let dw = x_c.transpose_matmul(grad.row_block_view(rows(blk))?)?;
+                        self.give(slots, *w, dw)?;
+                    }
+                }
+            }
+            Op::JetActivate(z, act) => {
+                if self.rg(*z) {
+                    let channels = node.jet.unwrap_or(JetChannels::all());
+                    let zv = &self.nodes[z.id].value;
+                    let (dz, mask) = jet::activate_backward(zv, grad, present, channels, *act);
+                    self.give_blocks(slots, *z, 0, dz, mask)?;
+                }
+            }
+            Op::MatMulTransposedChannel { a, jet, block } => {
+                // C = A J_cᵀ: dA = dC · J_c, dJ_c = dCᵀ · A.
+                let jv = &self.nodes[jet.id].value;
+                let points = jv.rows() / self.nodes[jet.id].jet.map_or(1, JetChannels::len);
+                let j_c = jv.row_block_view(block * points..(block + 1) * points)?;
+                if self.rg(*a) {
+                    self.give(slots, *a, grad.view().matmul(j_c)?)?;
+                }
+                if self.rg(*jet) {
+                    let dj = grad.transpose_matmul(&self.nodes[a.id].value)?;
+                    self.give_blocks(slots, *jet, *block, dj, 1 << block)?;
                 }
             }
         }
         Ok(())
-    }
-}
-
-fn add_grad(grads: &mut [Option<Matrix>], var: Var, delta: Matrix) {
-    match &mut grads[var.id()] {
-        Some(existing) => {
-            debug_assert_eq!(existing.shape(), delta.shape(), "gradient shape drift");
-            existing
-                .par_apply_with(&delta, |e, d| e + d)
-                .expect("invariant: node gradient shape matches its value shape");
-        }
-        slot @ None => *slot = Some(delta),
     }
 }
 

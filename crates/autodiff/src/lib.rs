@@ -36,8 +36,10 @@ mod activation;
 mod error;
 mod gradcheck;
 mod graph;
+mod jet;
 
 pub use activation::Activation;
 pub use error::AutodiffError;
 pub use gradcheck::{check_gradients, GradCheckReport};
 pub use graph::{Gradients, Graph, Var};
+pub use jet::{JetChannel, JetChannels};

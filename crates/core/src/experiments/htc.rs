@@ -410,13 +410,13 @@ impl HtcExperiment {
         )?;
 
         // Interior PDE with the layered source.
-        let jet = bound.trunk_jet(&mut graph, &volume)?;
+        let jet = bound.trunk_jet_with(&mut graph, &volume, physics::PDE_CHANNELS)?;
         let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
         let r = physics::pde_residual(&mut graph, &t_jet, &self.scales, Some(&source))?;
         let l_pde = graph.mean_square(r)?;
 
         // Convection with per-configuration coefficients, top and bottom.
-        let jet = bound.trunk_jet(&mut graph, &top_pts)?;
+        let jet = bound.trunk_jet_with(&mut graph, &top_pts, physics::face_channels(Face::ZMax))?;
         let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
         let r = physics::convection_residual(
             &mut graph,
@@ -427,7 +427,8 @@ impl HtcExperiment {
         )?;
         let l_top = graph.mean_square(r)?;
 
-        let jet = bound.trunk_jet(&mut graph, &bottom_pts)?;
+        let jet =
+            bound.trunk_jet_with(&mut graph, &bottom_pts, physics::face_channels(Face::ZMin))?;
         let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
         let r = physics::convection_residual(
             &mut graph,
@@ -439,12 +440,12 @@ impl HtcExperiment {
         let l_bottom = graph.mean_square(r)?;
 
         // Adiabatic sides.
-        let jet = bound.trunk_jet(&mut graph, &x_sides)?;
+        let jet = bound.trunk_jet_with(&mut graph, &x_sides, physics::face_channels(Face::XMin))?;
         let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
         let r = physics::adiabatic_residual(&mut graph, &t_jet, Face::XMin)?;
         let l_adia_x = graph.mean_square(r)?;
 
-        let jet = bound.trunk_jet(&mut graph, &y_sides)?;
+        let jet = bound.trunk_jet_with(&mut graph, &y_sides, physics::face_channels(Face::YMin))?;
         let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
         let r = physics::adiabatic_residual(&mut graph, &t_jet, Face::YMin)?;
         let l_adia_y = graph.mean_square(r)?;

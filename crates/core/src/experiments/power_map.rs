@@ -7,7 +7,7 @@
 //! (`h = 500 W/m²K`, `T_amb = 298.15 K`, `k = 0.1 W/mK`). Training is
 //! purely physics-informed on the 21 × 21 × 11 mesh.
 
-use deepoheat_autodiff::{Activation, Graph};
+use deepoheat_autodiff::{Activation, Graph, JetChannels, Var};
 use deepoheat_chip::{Chip, MeshPartition};
 use deepoheat_fdm::{BoundaryCondition, Face, SolveOptions};
 use deepoheat_grf::GaussianRandomField;
@@ -24,7 +24,7 @@ use crate::experiments::{
 use crate::metrics::FieldErrors;
 use crate::physics::{self, HtcInput, PhysicsScales};
 use crate::resilience::{self, ResilienceConfig, ResilienceError, ResilientReport};
-use crate::{DeepOHeat, DeepOHeatConfig, DeepOHeatError, FourierConfig};
+use crate::{BoundDeepOHeat, DeepOHeat, DeepOHeatConfig, DeepOHeatError, FourierConfig};
 
 /// Configuration of the §V.A experiment. `Default` gives CPU-friendly
 /// scaled-down settings; [`PowerMapExperimentConfig::paper`] gives the
@@ -308,6 +308,43 @@ impl PowerMapExperiment {
 
     /// One self-supervised step on the physics residuals (Eq. 8–11).
     fn physics_step(&mut self) -> Result<f64, DeepOHeatError> {
+        let (graph, bound, total, [l_pde, l_flux, l_conv, l_adia_x, l_adia_y]) =
+            self.physics_graph(|channels| channels)?;
+        let loss = graph.scalar(total);
+        if !loss.is_finite() {
+            return Err(DeepOHeatError::Diverged { iteration: self.iteration });
+        }
+        if telemetry::is_enabled() {
+            // Per-term breakdown of Eq. (11); reading already-evaluated
+            // graph nodes is a cheap lookup.
+            telemetry::event(
+                "train.step",
+                &[
+                    ("iteration", self.iteration.into()),
+                    ("loss", loss.into()),
+                    ("l_pde", graph.scalar(l_pde).into()),
+                    ("l_flux", graph.scalar(l_flux).into()),
+                    ("l_conv", graph.scalar(l_conv).into()),
+                    ("l_adia_x", graph.scalar(l_adia_x).into()),
+                    ("l_adia_y", graph.scalar(l_adia_y).into()),
+                ],
+            );
+        }
+        let grads = graph.backward(total)?;
+        self.adam.step_model(&mut self.model, &bound, &grads)?;
+        self.iteration += 1;
+        telemetry::counter("train.steps.count", 1);
+        Ok(loss)
+    }
+
+    /// Samples one step's batch and builds its Eq. (11) loss graph,
+    /// returning the graph, the bound model, the total and the five terms.
+    /// Each region's trunk jet carries `channels(c)`, where `c` is what
+    /// its residual reads; passing the identity propagates nothing else.
+    fn physics_graph(
+        &mut self,
+        channels: impl Fn(JetChannels) -> JetChannels,
+    ) -> Result<(Graph, BoundDeepOHeat, Var, [Var; 5]), DeepOHeatError> {
         let power_units = self.sample_power_batch()?;
 
         // Collocation points for this step.
@@ -334,22 +371,25 @@ impl PowerMapExperiment {
         let bound = self.model.bind(&mut graph);
         let branch = bound.branch_product(&mut graph, &[power_units])?;
 
+        let jet_at = |graph: &mut Graph, rows: &[usize], read: JetChannels| {
+            let jet =
+                bound.trunk_jet_with(graph, &self.coords.select_rows(rows), channels(read))?;
+            bound.combine_jet(graph, branch, &jet)
+        };
+
         // Interior PDE residual.
-        let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(&interior))?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let t_jet = jet_at(&mut graph, &interior, physics::PDE_CHANNELS)?;
         let r = physics::pde_residual(&mut graph, &t_jet, &self.scales, None)?;
         let l_pde = graph.mean_square(r)?;
 
         // Top power map (Neumann).
-        let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(&top))?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let t_jet = jet_at(&mut graph, &top, physics::face_channels(Face::ZMax))?;
         let r =
             physics::flux_residual(&mut graph, &t_jet, Face::ZMax, &self.scales, &flux_targets)?;
         let l_flux = graph.mean_square(r)?;
 
         // Bottom convection.
-        let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(&bottom))?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let t_jet = jet_at(&mut graph, &bottom, physics::face_channels(Face::ZMin))?;
         let r = physics::convection_residual(
             &mut graph,
             &t_jet,
@@ -360,13 +400,11 @@ impl PowerMapExperiment {
         let l_conv = graph.mean_square(r)?;
 
         // Adiabatic sides, grouped by normal axis.
-        let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(&x_sides))?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let t_jet = jet_at(&mut graph, &x_sides, physics::face_channels(Face::XMin))?;
         let r = physics::adiabatic_residual(&mut graph, &t_jet, Face::XMin)?;
         let l_adia_x = graph.mean_square(r)?;
 
-        let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(&y_sides))?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let t_jet = jet_at(&mut graph, &y_sides, physics::face_channels(Face::YMin))?;
         let r = physics::adiabatic_residual(&mut graph, &t_jet, Face::YMin)?;
         let l_adia_y = graph.mean_square(r)?;
 
@@ -381,32 +419,7 @@ impl PowerMapExperiment {
             let scaled = graph.scale(term, w)?;
             total = graph.add(total, scaled)?;
         }
-
-        let loss = graph.scalar(total);
-        if !loss.is_finite() {
-            return Err(DeepOHeatError::Diverged { iteration: self.iteration });
-        }
-        if telemetry::is_enabled() {
-            // Per-term breakdown of Eq. (11); reading already-evaluated
-            // graph nodes is a cheap lookup.
-            telemetry::event(
-                "train.step",
-                &[
-                    ("iteration", self.iteration.into()),
-                    ("loss", loss.into()),
-                    ("l_pde", graph.scalar(l_pde).into()),
-                    ("l_flux", graph.scalar(l_flux).into()),
-                    ("l_conv", graph.scalar(l_conv).into()),
-                    ("l_adia_x", graph.scalar(l_adia_x).into()),
-                    ("l_adia_y", graph.scalar(l_adia_y).into()),
-                ],
-            );
-        }
-        let grads = graph.backward(total)?;
-        self.adam.step_model(&mut self.model, &bound, &grads)?;
-        self.iteration += 1;
-        telemetry::counter("train.steps.count", 1);
-        Ok(loss)
+        Ok((graph, bound, total, [l_pde, l_flux, l_conv, l_adia_x, l_adia_y]))
     }
 
     /// Builds the supervised dataset on first use: `dataset_size` GRF maps
@@ -692,6 +705,7 @@ impl Trainable for PowerMapExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepoheat_nn::BoundParameters;
 
     fn tiny_config() -> PowerMapExperimentConfig {
         PowerMapExperimentConfig {
@@ -719,6 +733,29 @@ mod tests {
         let map = Matrix::filled(9, 9, 1.0);
         let field = exp.predict_field(&map).unwrap();
         assert_eq!(field.len(), 9 * 9 * 5);
+    }
+
+    /// Propagating only the channels each residual reads changes neither
+    /// the loss nor any parameter gradient, bit for bit, with and without
+    /// the Fourier layer.
+    #[test]
+    fn pruned_jets_reproduce_full_jet_step_bits() {
+        for config in [PowerMapExperimentConfig::default(), tiny_config()] {
+            let mut full = PowerMapExperiment::new(config.clone()).unwrap();
+            let mut pruned = PowerMapExperiment::new(config).unwrap();
+            let (g_full, b_full, l_full, _) = full.physics_graph(|_| JetChannels::all()).unwrap();
+            let (g_pruned, b_pruned, l_pruned, _) = pruned.physics_graph(|c| c).unwrap();
+            assert!(g_pruned.len() < g_full.len());
+            assert_eq!(g_full.scalar(l_full).to_bits(), g_pruned.scalar(l_pruned).to_bits());
+            let grads_full = g_full.backward(l_full).unwrap();
+            let grads_pruned = g_pruned.backward(l_pruned).unwrap();
+            let params = b_full.parameter_vars().into_iter().zip(b_pruned.parameter_vars());
+            for (k, (a, b)) in params.enumerate() {
+                let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let (a, b) = (grads_full.get(a).unwrap(), grads_pruned.get(b).unwrap());
+                assert_eq!(bits(a), bits(b), "gradient of parameter {k}");
+            }
+        }
     }
 
     #[test]

@@ -421,14 +421,16 @@ impl VolumetricExperiment {
         let bound = self.model.bind(&mut graph);
         let branch = bound.branch_product(&mut graph, &[units])?;
 
-        let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(&interior))?;
+        let interior_coords = self.coords.select_rows(&interior);
+        let jet = bound.trunk_jet_with(&mut graph, &interior_coords, physics::PDE_CHANNELS)?;
         let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
         let r = physics::pde_residual(&mut graph, &t_jet, &self.scales, Some(&source))?;
         let l_pde = graph.mean_square(r)?;
 
         let mut terms = Vec::new();
         for (nodes, face) in [(&top, Face::ZMax), (&bottom, Face::ZMin)] {
-            let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(nodes))?;
+            let coords = self.coords.select_rows(nodes);
+            let jet = bound.trunk_jet_with(&mut graph, &coords, physics::face_channels(face))?;
             let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
             let r = physics::convection_residual(
                 &mut graph,
@@ -440,7 +442,8 @@ impl VolumetricExperiment {
             terms.push((graph.mean_square(r)?, weights.convection));
         }
         for (nodes, face) in [(&x_sides, Face::XMin), (&y_sides, Face::YMin)] {
-            let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(nodes))?;
+            let coords = self.coords.select_rows(nodes);
+            let jet = bound.trunk_jet_with(&mut graph, &coords, physics::face_channels(face))?;
             let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
             let r = physics::adiabatic_residual(&mut graph, &t_jet, face)?;
             terms.push((graph.mean_square(r)?, weights.adiabatic));

@@ -1,4 +1,4 @@
-use deepoheat_autodiff::{Activation, Graph, Var};
+use deepoheat_autodiff::{Activation, AutodiffError, Graph, JetChannel, JetChannels, Var};
 use deepoheat_linalg::Matrix;
 use deepoheat_nn::{
     BoundMlp, BoundParameters, FourierFeatures, Jet3, Mlp, MlpConfig, Parameterized,
@@ -8,9 +8,51 @@ use rand::Rng;
 use crate::DeepOHeatError;
 
 /// The jet of the predicted temperature field: `T`, `∂T/∂xᵢ` and
-/// `∂²T/∂xᵢ²` in normalized coordinates, each an
-/// `n_configs × n_points` graph node.
-pub type TemperatureJet = Jet3;
+/// `∂²T/∂xᵢ²` in normalized coordinates, each an `n_configs × n_points`
+/// graph node, for the channels the trunk jet carried.
+#[derive(Debug, Clone, Copy)]
+pub struct TemperatureJet {
+    value: Var,
+    first: [Option<Var>; 3],
+    second: [Option<Var>; 3],
+}
+
+impl TemperatureJet {
+    /// Assembles a jet from per-channel nodes; `None` marks a channel
+    /// that was not propagated.
+    pub fn new(value: Var, first: [Option<Var>; 3], second: [Option<Var>; 3]) -> Self {
+        TemperatureJet { value, first, second }
+    }
+
+    /// The value channel `θ`.
+    pub fn value(&self) -> Var {
+        self.value
+    }
+
+    /// `∂θ/∂xᵢ` along `axis`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AutodiffError::MissingChannel`] (wrapped) if the channel
+    /// was not propagated.
+    pub fn d1(&self, axis: usize) -> Result<Var, DeepOHeatError> {
+        self.channel(JetChannel::First(axis), self.first.get(axis).copied().flatten())
+    }
+
+    /// `∂²θ/∂xᵢ²` along `axis`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AutodiffError::MissingChannel`] (wrapped) if the channel
+    /// was not propagated.
+    pub fn d2(&self, axis: usize) -> Result<Var, DeepOHeatError> {
+        self.channel(JetChannel::Second(axis), self.second.get(axis).copied().flatten())
+    }
+
+    fn channel(&self, channel: JetChannel, var: Option<Var>) -> Result<Var, DeepOHeatError> {
+        var.ok_or_else(|| AutodiffError::MissingChannel { channel }.into())
+    }
+}
 
 /// Default row-chunk size for [`DeepOHeat::eval_trunk_batch`]: large
 /// enough that per-chunk dispatch cost is negligible against the trunk
@@ -639,13 +681,32 @@ impl BoundDeepOHeat {
     }
 
     /// Runs the trunk on coordinates with full second-order jet
-    /// propagation, returning value + derivative feature channels.
+    /// propagation, returning value + derivative feature channels (all
+    /// seven; the experiments' training steps propagate only the channels
+    /// each residual reads).
     ///
     /// # Errors
     ///
-    /// Propagates graph shape errors.
+    /// Propagates coordinate-shape and graph shape errors.
     pub fn trunk_jet(&self, graph: &mut Graph, coords: &Matrix) -> Result<Jet3, DeepOHeatError> {
-        let seed = Jet3::seed_coordinates(graph, coords.clone());
+        self.trunk_jet_with(graph, coords, JetChannels::all())
+    }
+
+    /// Runs the trunk on coordinates propagating only `channels`: the
+    /// channels a residual reads ([`crate::physics::PDE_CHANNELS`],
+    /// [`crate::physics::face_channels`]). Carried channels have the same
+    /// values, and yield the same parameter gradients, as in a full jet.
+    ///
+    /// # Errors
+    ///
+    /// Propagates coordinate-shape and graph shape errors.
+    pub(crate) fn trunk_jet_with(
+        &self,
+        graph: &mut Graph,
+        coords: &Matrix,
+        channels: JetChannels,
+    ) -> Result<Jet3, DeepOHeatError> {
+        let seed = Jet3::seed_coordinates(graph, coords, channels)?;
         let trunk_in = match &self.fourier {
             Some(ff) => ff.forward_jet(graph, &seed)?,
             None => seed,
@@ -670,7 +731,7 @@ impl BoundDeepOHeat {
 
     /// Combines the branch product with a trunk jet into the temperature
     /// jet: since the branch features do not depend on coordinates, every
-    /// derivative channel is `B (∂Φ)ᵀ`.
+    /// derivative channel is `B (∂Φ)ᵀ`. One node per carried channel.
     ///
     /// # Errors
     ///
@@ -681,14 +742,17 @@ impl BoundDeepOHeat {
         branch_product: Var,
         trunk_jet: &Jet3,
     ) -> Result<TemperatureJet, DeepOHeatError> {
-        let value = graph.matmul_transposed(branch_product, trunk_jet.value)?;
-        let mut d1 = [value; 3];
-        let mut d2 = [value; 3];
-        for i in 0..3 {
-            d1[i] = graph.matmul_transposed(branch_product, trunk_jet.d1[i])?;
-            d2[i] = graph.matmul_transposed(branch_product, trunk_jet.d2[i])?;
+        let mut combine = |c| graph.matmul_transposed_channel(branch_product, trunk_jet.node(), c);
+        let value = combine(JetChannel::Value)?;
+        let (mut first, mut second) = ([None; 3], [None; 3]);
+        for channel in trunk_jet.channels().iter() {
+            match channel {
+                JetChannel::Value => {}
+                JetChannel::First(axis) => first[axis] = Some(combine(channel)?),
+                JetChannel::Second(axis) => second[axis] = Some(combine(channel)?),
+            }
         }
-        Ok(Jet3 { value, d1, d2 })
+        Ok(TemperatureJet { value, first, second })
     }
 }
 
@@ -885,7 +949,7 @@ mod tests {
         let jet = bound.trunk_jet(&mut g, &y).unwrap();
         let t_jet = bound.combine_jet(&mut g, b, &jet).unwrap();
         let direct = model.predict_theta(&[&u], &y).unwrap();
-        for (a, b) in g.value(t_jet.value).iter().zip(direct.iter()) {
+        for (a, b) in g.value(t_jet.value()).iter().zip(direct.iter()) {
             assert!((a - b).abs() < 1e-12);
         }
     }
@@ -914,8 +978,8 @@ mod tests {
             let f0 = model.predict_theta(&[&u], &y0).unwrap().as_slice()[0];
             let fd1 = (fp - fm) / (2.0 * h);
             let fd2 = (fp - 2.0 * f0 + fm) / (h * h);
-            let a1 = g.value(t_jet.d1[axis]).as_slice()[0];
-            let a2 = g.value(t_jet.d2[axis]).as_slice()[0];
+            let a1 = g.value(t_jet.d1(axis).unwrap()).as_slice()[0];
+            let a2 = g.value(t_jet.d2(axis).unwrap()).as_slice()[0];
             assert!((a1 - fd1).abs() < 1e-5, "axis {axis}: {a1} vs {fd1}");
             assert!((a2 - fd2).abs() < 1e-3, "axis {axis}: {a2} vs {fd2}");
         }

@@ -19,7 +19,7 @@
 //! node; squaring and averaging it (e.g. [`Graph::mean_square`]) yields
 //! the corresponding loss term `ℒᵢ` of the paper's Eq. (8)–(11).
 
-use deepoheat_autodiff::{Graph, Var};
+use deepoheat_autodiff::{Graph, JetChannels, Var};
 use deepoheat_fdm::Face;
 use deepoheat_linalg::Matrix;
 
@@ -92,6 +92,18 @@ impl PhysicsScales {
     }
 }
 
+/// The trunk-jet channels [`pde_residual`] reads: the Laplacian needs
+/// every second derivative, and with it every first derivative and the
+/// value.
+pub const PDE_CHANNELS: JetChannels = JetChannels::all();
+
+/// The trunk-jet channels a boundary residual on `face` reads
+/// ([`flux_residual`], [`convection_residual`], [`adiabatic_residual`],
+/// [`dirichlet_residual`]): the value and the normal derivative.
+pub fn face_channels(face: Face) -> JetChannels {
+    JetChannels::normal(face.normal_axis())
+}
+
 /// A heat-transfer coefficient input to [`convection_residual`]: uniform,
 /// or one value per configuration in the batch (the §V.B branch input).
 #[derive(Debug, Clone, PartialEq)]
@@ -110,16 +122,18 @@ pub enum HtcInput {
 ///
 /// # Errors
 ///
-/// Propagates graph shape errors.
+/// Returns [`AutodiffError::MissingChannel`](deepoheat_autodiff::AutodiffError)
+/// (wrapped) if the jet lacks a second derivative, and propagates graph
+/// shape errors.
 pub fn pde_residual(
     graph: &mut Graph,
     jet: &TemperatureJet,
     scales: &PhysicsScales,
     source: Option<&Matrix>,
 ) -> Result<Var, DeepOHeatError> {
-    let mut acc = graph.scale(jet.d2[0], scales.laplacian_coefficient(0))?;
+    let mut acc = graph.scale(jet.d2(0)?, scales.laplacian_coefficient(0))?;
     for axis in 1..3 {
-        let term = graph.scale(jet.d2[axis], scales.laplacian_coefficient(axis))?;
+        let term = graph.scale(jet.d2(axis)?, scales.laplacian_coefficient(axis))?;
         acc = graph.add(acc, term)?;
     }
     if let Some(q) = source {
@@ -135,7 +149,8 @@ pub fn pde_residual(
 ///
 /// # Errors
 ///
-/// Propagates graph shape errors.
+/// Returns a missing-channel error if the jet lacks `∂/∂xₙ`, and
+/// propagates graph shape errors.
 pub fn flux_residual(
     graph: &mut Graph,
     jet: &TemperatureJet,
@@ -143,8 +158,7 @@ pub fn flux_residual(
     scales: &PhysicsScales,
     flux: &Matrix,
 ) -> Result<Var, DeepOHeatError> {
-    let axis = face.normal_axis();
-    let directional = graph.scale(jet.d1[axis], face.normal_sign())?;
+    let directional = graph.scale(jet.d1(face.normal_axis())?, face.normal_sign())?;
     let target = graph.leaf(flux.scaled(scales.flux_coefficient(face)), false);
     Ok(graph.sub(directional, target)?)
 }
@@ -153,14 +167,15 @@ pub fn flux_residual(
 ///
 /// # Errors
 ///
-/// Propagates graph shape errors.
+/// Returns a missing-channel error if the jet lacks `∂/∂xₙ`, and
+/// propagates graph shape errors.
 pub fn adiabatic_residual(
     graph: &mut Graph,
     jet: &TemperatureJet,
     face: Face,
 ) -> Result<Var, DeepOHeatError> {
     let _ = graph; // kept for signature symmetry with the other residuals
-    Ok(jet.d1[face.normal_axis()])
+    jet.d1(face.normal_axis())
 }
 
 /// Convection residual on `face`: `s θ_xₙ + Bi θ` with the Biot number
@@ -174,7 +189,8 @@ pub fn adiabatic_residual(
 /// # Errors
 ///
 /// Returns [`DeepOHeatError::InputMismatch`] if a per-configuration column
-/// is not `n_configs × 1`, and propagates graph shape errors.
+/// is not `n_configs × 1`, a missing-channel error if the jet lacks
+/// `∂/∂xₙ`, and propagates graph shape errors.
 pub fn convection_residual(
     graph: &mut Graph,
     jet: &TemperatureJet,
@@ -183,9 +199,9 @@ pub fn convection_residual(
     htc: &HtcInput,
 ) -> Result<Var, DeepOHeatError> {
     let axis = face.normal_axis();
-    let directional = graph.scale(jet.d1[axis], face.normal_sign())?;
+    let directional = graph.scale(jet.d1(axis)?, face.normal_sign())?;
     let cooling = match htc {
-        HtcInput::Uniform(h) => graph.scale(jet.value, scales.biot_number(face, *h))?,
+        HtcInput::Uniform(h) => graph.scale(jet.value(), scales.biot_number(face, *h))?,
         HtcInput::PerConfiguration(col) => {
             if col.cols() != 1 {
                 return Err(DeepOHeatError::InputMismatch {
@@ -194,7 +210,7 @@ pub fn convection_residual(
             }
             let biot = col.scaled(scales.extents[axis] / scales.conductivity);
             let biot_leaf = graph.leaf(biot, false);
-            graph.mul_col_broadcast(jet.value, biot_leaf)?
+            graph.mul_col_broadcast(jet.value(), biot_leaf)?
         }
     };
     Ok(graph.add(directional, cooling)?)
@@ -211,21 +227,25 @@ pub fn dirichlet_residual(
     jet: &TemperatureJet,
     theta_target: f64,
 ) -> Result<Var, DeepOHeatError> {
-    Ok(graph.add_scalar(jet.value, -theta_target)?)
+    Ok(graph.add_scalar(jet.value(), -theta_target)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepoheat_nn::Jet3;
+    use deepoheat_autodiff::AutodiffError;
 
     /// Builds a jet with explicitly chosen constant channels.
-    fn constant_jet(graph: &mut Graph, n: usize, value: f64, d1: [f64; 3], d2: [f64; 3]) -> Jet3 {
-        let mk = |graph: &mut Graph, v: f64| graph.leaf(Matrix::filled(1, n, v), false);
-        let value = mk(graph, value);
-        let d1 = [mk(graph, d1[0]), mk(graph, d1[1]), mk(graph, d1[2])];
-        let d2 = [mk(graph, d2[0]), mk(graph, d2[1]), mk(graph, d2[2])];
-        Jet3 { value, d1, d2 }
+    fn constant_jet(
+        graph: &mut Graph,
+        n: usize,
+        value: f64,
+        d1: [f64; 3],
+        d2: [f64; 3],
+    ) -> TemperatureJet {
+        let mut mk = |v: f64| Some(graph.leaf(Matrix::filled(1, n, v), false));
+        let value = mk(value).unwrap();
+        TemperatureJet::new(value, d1.map(&mut mk), d2.map(&mut mk))
     }
 
     fn paper_scales() -> PhysicsScales {
@@ -302,7 +322,7 @@ mod tests {
         // Two configurations with different θ values and HTCs.
         let value = g.leaf(Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0]]).unwrap(), false);
         let zeros = g.leaf(Matrix::zeros(2, 2), false);
-        let jet = Jet3 { value, d1: [zeros; 3], d2: [zeros; 3] };
+        let jet = TemperatureJet::new(value, [Some(zeros); 3], [Some(zeros); 3]);
         let htc = HtcInput::PerConfiguration(Matrix::column_vector(&[500.0, 1000.0]));
         let r = convection_residual(&mut g, &jet, Face::ZMin, &s, &htc).unwrap();
         let rv = g.value(r);
@@ -318,6 +338,21 @@ mod tests {
         let jet = constant_jet(&mut g, 2, 0.0, [0.0; 3], [0.0; 3]);
         let bad = HtcInput::PerConfiguration(Matrix::zeros(2, 2));
         assert!(convection_residual(&mut g, &jet, Face::ZMin, &s, &bad).is_err());
+    }
+
+    #[test]
+    fn reading_an_unpropagated_channel_is_a_typed_error() {
+        let s = paper_scales();
+        let mut g = Graph::new();
+        let leaf = g.leaf(Matrix::zeros(1, 2), false);
+        let top = TemperatureJet::new(leaf, [None, None, Some(leaf)], [None; 3]);
+        let missing = |r: Result<Var, DeepOHeatError>| {
+            matches!(r, Err(DeepOHeatError::Autodiff(AutodiffError::MissingChannel { .. })))
+        };
+        assert!(flux_residual(&mut g, &top, Face::ZMax, &s, &Matrix::zeros(1, 2)).is_ok());
+        assert!(missing(pde_residual(&mut g, &top, &s, None)));
+        assert!(missing(adiabatic_residual(&mut g, &top, Face::XMin)));
+        assert_eq!(face_channels(Face::ZMin), JetChannels::normal(2));
     }
 
     #[test]

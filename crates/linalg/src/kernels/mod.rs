@@ -236,6 +236,7 @@ fn slab_count(k: usize) -> usize {
 /// of an `A·Bᵀ` product) when true — both land in the identical packed
 /// layout, which is how the two public multiplication shapes share one
 /// microkernel.
+#[inline(always)]
 pub(crate) fn pack_b<T: Element>(src: &[T], k: usize, n: usize, transposed: bool) -> PackedB<T> {
     let strips = n.div_ceil(NR);
     // Each of the k reduction rows is stored exactly once across the slabs.
@@ -270,7 +271,11 @@ pub(crate) fn pack_b<T: Element>(src: &[T], k: usize, n: usize, transposed: bool
 /// strip in ascending-`k` order. The accumulator array is sized `MR × NR`
 /// with fixed bounds so LLVM unrolls and vectorizes the lane loop; partial
 /// tiles simply compute (and discard) the padded lanes.
-#[inline]
+///
+/// Always inlined, like [`pack_b`]: with a second caller ([`gemm_tn`])
+/// LLVM otherwise outlines both, and a call per tile slowed single-row
+/// products (the branch encode and the warm-basis combine) by about 6%.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // full GEMM problem descriptor
 fn scalar_tile<T: Element>(
     a: &[T],
@@ -442,6 +447,86 @@ pub(crate) fn gemm<T: Element>(
     });
 }
 
+/// `out = lhsᵀ · rhs` for a row-major `k × m` `lhs` and `k × n` `rhs`:
+/// the weight-gradient shape `Xᵀ·dY`, without a transposed copy of `lhs`.
+/// `out` must be the zeroed `m × n` destination.
+///
+/// Each element is the same ascending-`k` sum, started from zero, that
+/// `lhs.transpose() · rhs` produces through [`gemm`], so the two agree
+/// bit for bit. The blocked path packs `rhs` like any right-hand side and
+/// gathers `lhs` one `MC × KC` block at a time into the microkernel's
+/// row-major operand layout.
+pub(crate) fn gemm_tn<T: Element>(
+    lhs: &[T],
+    rhs: &[T],
+    out: &mut [T],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    if m * k * n <= TINY_GEMM_WORK {
+        for kk in 0..k {
+            let b = &rhs[kk * n..(kk + 1) * n];
+            for (r, &av) in lhs[kk * m..(kk + 1) * m].iter().enumerate() {
+                for (v, &bv) in out[r * n..(r + 1) * n].iter_mut().zip(b) {
+                    *v = v.add(av.mul(bv));
+                }
+            }
+        }
+        return;
+    }
+    let packed = pack_b(rhs, k, n, false);
+    dispatch_bands(out, m, k, n, |r0, out_band, nrows| {
+        gemm_band_tn(lhs, m, r0, &packed, out_band, nrows);
+    });
+}
+
+/// [`gemm_band`] for a transposed left operand: output rows
+/// `r0..r0 + nrows` of `lhsᵀ · packed`, where `lhs` is row-major `k × m`.
+/// Same slab, chunk, strip and tile order as [`gemm_band`]; each `MC`-row
+/// chunk of one slab is gathered into `apack` before its tiles run.
+fn gemm_band_tn<T: Element>(
+    lhs: &[T],
+    m: usize,
+    r0: usize,
+    packed: &PackedB<T>,
+    out: &mut [T],
+    nrows: usize,
+) {
+    let (k, n) = (packed.k, packed.n);
+    let strips = n.div_ceil(NR);
+    let slabs = slab_count(k);
+    let mut apack = vec![T::ZERO; MC.min(nrows) * KC.min(k)];
+    for s in 0..slabs {
+        let ks = slab_len(k, s);
+        let slab = packed.slab(s);
+        let first = s == 0;
+        let mut rc = 0;
+        while rc < nrows {
+            let mc = MC.min(nrows - rc);
+            for kk in 0..ks {
+                let src = &lhs[(s * KC + kk) * m + r0 + rc..][..mc];
+                for (r, &v) in src.iter().enumerate() {
+                    apack[r * ks + kk] = v;
+                }
+            }
+            for strip in 0..strips {
+                let j0 = strip * NR;
+                let nr = NR.min(n - j0);
+                let bstrip = &slab[strip * ks * NR..(strip + 1) * ks * NR];
+                let mut r = rc;
+                while r < rc + mc {
+                    let mr = MR.min(rc + mc - r);
+                    let c = &mut out[r * n + j0..];
+                    T::run_tile(&apack[(r - rc) * ks..], ks, bstrip, ks, c, n, mr, nr, first);
+                    r += mr;
+                }
+            }
+            rc += mc;
+        }
+    }
+}
+
 /// The single pool-integration point for the multiplication kernels:
 /// splits the `rows × n` output into fixed row bands of roughly
 /// [`MATMUL_CHUNK_WORK`] multiply-adds each and runs
@@ -474,5 +559,26 @@ pub(crate) fn dispatch_rows<T, K>(
         let r0 = band * band_rows;
         let nrows = out_band.len() / n.max(1);
         kernel(&lhs[r0 * k..(r0 + nrows) * k], out_band, nrows);
+    });
+}
+
+/// [`dispatch_rows`] for a kernel that indexes its left operand itself
+/// (a transposed one has no contiguous row bands): the same bands, with
+/// `kernel(first_row, out_band, band_rows)` per band.
+fn dispatch_bands<T, K>(out: &mut [T], rows: usize, k: usize, n: usize, kernel: K)
+where
+    T: Element,
+    K: Fn(usize, &mut [T], usize) + Sync,
+{
+    let work_per_row = k * n;
+    if rows * work_per_row < PARALLEL_MATMUL_THRESHOLD || rows < 2 {
+        kernel(0, out, rows);
+        return;
+    }
+    let band_rows =
+        (MATMUL_CHUNK_WORK / work_per_row.max(1)).max(MIN_BAND_ROWS).next_multiple_of(MR).min(rows);
+    parallel::par_chunks_mut(out, band_rows * n, |band, out_band| {
+        let nrows = out_band.len() / n.max(1);
+        kernel(band * band_rows, out_band, nrows);
     });
 }

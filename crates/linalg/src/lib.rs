@@ -45,7 +45,7 @@ pub use cg::{
 };
 pub use cholesky::{Cholesky, IncompleteCholesky};
 pub use error::LinalgError;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, MatrixView};
 pub use matrix32::Matrix32;
 pub use sparse::{CooMatrix, CsrMatrix};
 pub use vector::{axpy, dot, norm2, scale_in_place};

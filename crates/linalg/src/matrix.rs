@@ -268,6 +268,25 @@ impl Matrix {
     /// # Ok::<(), deepoheat_linalg::LinalgError>(())
     /// ```
     pub fn row_block(&self, range: std::ops::Range<usize>) -> Result<Matrix, LinalgError> {
+        Ok(self.row_block_view(range)?.to_matrix())
+    }
+
+    /// Borrows the whole matrix as a [`MatrixView`].
+    pub fn view(&self) -> MatrixView<'_> {
+        MatrixView { rows: self.rows, cols: self.cols, data: &self.data }
+    }
+
+    /// Borrows rows `range.start..range.end` as a [`MatrixView`] without
+    /// copying them: rows are stored contiguously.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::InvalidDimension`] if the range is reversed
+    /// or extends past the last row.
+    pub fn row_block_view(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> Result<MatrixView<'_>, LinalgError> {
         if range.start > range.end || range.end > self.rows {
             return Err(LinalgError::InvalidDimension {
                 op: "row_block",
@@ -277,8 +296,11 @@ impl Matrix {
                 ),
             });
         }
-        let data = self.data[range.start * self.cols..range.end * self.cols].to_vec();
-        Ok(Matrix { rows: range.end - range.start, cols: self.cols, data })
+        Ok(MatrixView {
+            rows: range.end - range.start,
+            cols: self.cols,
+            data: &self.data[range.start * self.cols..range.end * self.cols],
+        })
     }
 
     /// Returns an iterator over all elements in row-major order.
@@ -329,25 +351,18 @@ impl Matrix {
     /// # Ok::<(), deepoheat_linalg::LinalgError>(())
     /// ```
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        kernels::gemm(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            rhs.cols,
-            false,
-            &Epilogue::None,
-        );
-        Ok(out)
+        self.view().matmul(rhs.view())
+    }
+
+    /// `selfᵀ · rhs` without materialising the transpose: the
+    /// weight-gradient product `Xᵀ·dY`. Bit-identical to
+    /// `self.transpose().matmul(rhs)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
+    pub fn transpose_matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
+        self.view().transpose_matmul(rhs.view())
     }
 
     /// Reference triple-loop multiplication with no packing, blocking,
@@ -463,25 +478,7 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
     pub fn matmul_transposed(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != rhs.cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matmul_transposed",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        kernels::gemm(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            rhs.rows,
-            true,
-            &Epilogue::None,
-        );
-        Ok(out)
+        self.view().matmul_transposed(rhs.view())
     }
 
     /// Fused trunk-combine kernel: `offset + scale * (self * rhsᵀ)` with
@@ -746,6 +743,87 @@ impl Matrix {
     /// Returns `true` if all elements are finite (no NaN or infinity).
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
+    }
+}
+
+/// A borrowed row-major matrix: a whole [`Matrix`] ([`Matrix::view`]) or a
+/// contiguous block of its rows ([`Matrix::row_block_view`]).
+///
+/// Its products run on the same kernels as [`Matrix`]'s and give the same
+/// bits, so a caller that keeps several same-width operands stacked in one
+/// matrix can multiply any block of it without copying the block out.
+#[derive(Debug, Clone, Copy)]
+pub struct MatrixView<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f64],
+}
+
+impl MatrixView<'_> {
+    /// `(rows, cols)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Copies the view into an owned matrix.
+    pub fn to_matrix(&self) -> Matrix {
+        Matrix { rows: self.rows, cols: self.cols, data: self.data.to_vec() }
+    }
+
+    /// `self · rhs`; see [`Matrix::matmul`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
+    pub fn matmul(&self, rhs: MatrixView<'_>) -> Result<Matrix, LinalgError> {
+        if self.cols != rhs.rows {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let (m, k, n) = (self.rows, self.cols, rhs.cols);
+        kernels::gemm(self.data, rhs.data, &mut out.data, m, k, n, false, &Epilogue::None);
+        Ok(out)
+    }
+
+    /// `self · rhsᵀ`; see [`Matrix::matmul_transposed`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
+    pub fn matmul_transposed(&self, rhs: MatrixView<'_>) -> Result<Matrix, LinalgError> {
+        if self.cols != rhs.cols {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul_transposed",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let (m, k, n) = (self.rows, self.cols, rhs.rows);
+        kernels::gemm(self.data, rhs.data, &mut out.data, m, k, n, true, &Epilogue::None);
+        Ok(out)
+    }
+
+    /// `selfᵀ · rhs`; see [`Matrix::transpose_matmul`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
+    pub fn transpose_matmul(&self, rhs: MatrixView<'_>) -> Result<Matrix, LinalgError> {
+        if self.rows != rhs.rows {
+            return Err(LinalgError::ShapeMismatch {
+                op: "transpose_matmul",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        kernels::gemm_tn(self.data, rhs.data, &mut out.data, self.cols, self.rows, rhs.cols);
+        Ok(out)
     }
 }
 

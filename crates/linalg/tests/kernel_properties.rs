@@ -72,6 +72,17 @@ proptest! {
     }
 
     #[test]
+    fn transpose_matmul_is_bitwise_equal_to_naive_of_transpose(
+        m in dim(), k in dim(), n in dim(), seed in 0u64..1 << 48
+    ) {
+        let a = matrix(k, m, seed);
+        let b = matrix(k, n, seed ^ 3);
+        let fused = a.transpose_matmul(&b).unwrap();
+        let reference = a.transpose().matmul_naive(&b).unwrap();
+        prop_assert_eq!(fused, reference);
+    }
+
+    #[test]
     fn bias_epilogue_is_bitwise_equal_to_two_pass(
         m in dim(), k in dim(), n in 1usize..=19, seed in 0u64..1 << 48
     ) {
@@ -137,5 +148,25 @@ fn fused_combine_is_bit_identical_across_pool_widths() {
         let pool = deepoheat_parallel::ThreadPool::new(threads);
         let under = pool.install(|| a.matmul_transposed_affine(&t, 298.15, 10.0)).unwrap();
         assert_eq!(serial, under, "threads = {threads}");
+    }
+}
+
+/// `Xᵀ·dY` over more than one `KC` slab and more than one `MC` chunk,
+/// taken from row blocks of a stacked operand, must match the transposed
+/// copy's product bit for bit at every pool width.
+#[test]
+#[cfg_attr(miri, ignore = "thread pools are too slow under the interpreter")]
+fn transpose_matmul_of_row_blocks_is_bit_identical_across_pool_widths() {
+    let x = matrix(2 * 600, 70, 11);
+    let dy = matrix(2 * 600, 37, 12);
+    let (xb, dyb) = (x.row_block(600..1200).unwrap(), dy.row_block(600..1200).unwrap());
+    let reference = xb.transpose().matmul(&dyb).unwrap();
+    for threads in [1, 2, 4] {
+        let pool = deepoheat_parallel::ThreadPool::new(threads);
+        let under = pool.install(|| {
+            let xv = x.row_block_view(600..1200).unwrap();
+            xv.transpose_matmul(dy.row_block_view(600..1200).unwrap()).unwrap()
+        });
+        assert_eq!(reference, under, "threads = {threads}");
     }
 }

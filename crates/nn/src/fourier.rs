@@ -1,4 +1,4 @@
-use deepoheat_autodiff::{Activation, Graph, Var};
+use deepoheat_autodiff::{Activation, Graph, JetChannel, Var};
 use deepoheat_linalg::Matrix;
 use rand::Rng;
 
@@ -81,49 +81,55 @@ impl FourierFeatures {
         Ok(graph.hcat(s, c)?)
     }
 
-    /// Graph forward pass of a second-order jet.
+    /// Graph forward pass of a second-order jet, for every channel `x`
+    /// carries.
     ///
     /// Since `B` is constant, the linear part maps each channel through
     /// `B`; sin/cos then follow the jet activation rules with exact
-    /// trigonometric derivatives.
+    /// trigonometric derivatives. The input is a constant coordinate seed,
+    /// so the result is computed directly into one constant jet leaf.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the underlying graph operations.
+    /// Returns [`NnError::InvalidArchitecture`] if `x` requires gradients
+    /// (the mapping is only defined on constant coordinate jets), or
+    /// propagates shape errors.
     pub fn forward_jet(&self, graph: &mut Graph, x: &Jet3) -> Result<Jet3, NnError> {
-        let b = graph.leaf(self.frequencies.clone(), false);
-        let z = graph.matmul(x.value, b)?;
-        let mut zd1 = [z; 3];
-        let mut zd2 = [z; 3];
-        for i in 0..3 {
-            zd1[i] = graph.matmul(x.d1[i], b)?;
-            zd2[i] = graph.matmul(x.d2[i], b)?;
+        if graph.requires_grad(x.node()) {
+            return Err(NnError::InvalidArchitecture {
+                what: "Fourier features take a constant coordinate jet".into(),
+            });
         }
-
-        let sin = graph.activation(z, Activation::Sine, 0)?;
-        let cos = graph.activation(z, Activation::Sine, 1)?;
-        let neg_sin = graph.activation(z, Activation::Sine, 2)?;
-        let neg_cos = graph.scale(cos, -1.0)?;
-
-        let value = graph.hcat(sin, cos)?;
-        let mut d1 = [value; 3];
-        let mut d2 = [value; 3];
-        for i in 0..3 {
-            // d/dyᵢ sin(z) = cos(z) zᵢ ; d/dyᵢ cos(z) = -sin(z) zᵢ.
-            let s1 = graph.mul(cos, zd1[i])?;
-            let c1 = graph.mul(neg_sin, zd1[i])?;
-            d1[i] = graph.hcat(s1, c1)?;
-            // d²/dyᵢ² sin(z) = -sin(z) zᵢ² + cos(z) zᵢᵢ, and mirrored for cos.
-            let zi_sq = graph.square(zd1[i])?;
-            let s2a = graph.mul(neg_sin, zi_sq)?;
-            let s2b = graph.mul(cos, zd2[i])?;
-            let s2 = graph.add(s2a, s2b)?;
-            let c2a = graph.mul(neg_cos, zi_sq)?;
-            let c2b = graph.mul(neg_sin, zd2[i])?;
-            let c2 = graph.add(c2a, c2b)?;
-            d2[i] = graph.hcat(s2, c2)?;
+        let (channels, n) = (x.channels(), x.points());
+        let z = graph.value(x.node()).matmul(&self.frequencies)?;
+        let f = self.frequencies.cols();
+        let first = [0, 1, 2].map(|a| channels.block(JetChannel::First(a)));
+        let second = [0, 1, 2].map(|a| channels.block(JetChannel::Second(a)));
+        let mut out = Matrix::zeros(z.rows(), 2 * f);
+        for r in 0..n {
+            for c in 0..f {
+                let zv = z[(r, c)];
+                let (sin, cos) = (zv.sin(), zv.cos());
+                let (neg_sin, neg_cos) = (-sin, -cos);
+                out[(r, c)] = sin;
+                out[(r, f + c)] = cos;
+                for axis in 0..3 {
+                    let Some(b1) = first[axis] else { continue };
+                    // d/dyᵢ sin(z) = cos(z) zᵢ ; d/dyᵢ cos(z) = -sin(z) zᵢ.
+                    let z1 = z[(b1 * n + r, c)];
+                    out[(b1 * n + r, c)] = cos * z1;
+                    out[(b1 * n + r, f + c)] = neg_sin * z1;
+                    // d²/dyᵢ² sin(z) = -sin(z) zᵢ² + cos(z) zᵢᵢ, mirrored for cos.
+                    if let Some(b2) = second[axis] {
+                        let (z2, z1_sq) = (z[(b2 * n + r, c)], z1 * z1);
+                        out[(b2 * n + r, c)] = neg_sin * z1_sq + cos * z2;
+                        out[(b2 * n + r, f + c)] = neg_cos * z1_sq + neg_sin * z2;
+                    }
+                }
+            }
         }
-        Ok(Jet3 { value, d1, d2 })
+        let node = graph.jet_leaf(out, channels, false)?;
+        Ok(Jet3::from_node(node, channels, n))
     }
 
     /// Graph-free forward pass for fast inference.
@@ -142,6 +148,7 @@ impl FourierFeatures {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepoheat_autodiff::JetChannels;
     use rand::SeedableRng;
 
     #[test]
@@ -169,11 +176,12 @@ mod tests {
         let h = 1e-4;
 
         let mut g = Graph::new();
-        let jet = Jet3::seed_coordinates(&mut g, coords.clone());
+        let jet = Jet3::seed_coordinates(&mut g, &coords, JetChannels::all()).unwrap();
         let out = ff.forward_jet(&mut g, &jet).unwrap();
-        let d1: Vec<Matrix> = out.d1.iter().map(|&v| g.value(v).clone()).collect();
-        let d2: Vec<Matrix> = out.d2.iter().map(|&v| g.value(v).clone()).collect();
-        let val = g.value(out.value).clone();
+        let channel = |c| out.channel_value(&g, c).unwrap();
+        let d1: Vec<Matrix> = (0..3).map(|a| channel(JetChannel::First(a))).collect();
+        let d2: Vec<Matrix> = (0..3).map(|a| channel(JetChannel::Second(a))).collect();
+        let val = channel(JetChannel::Value);
         assert_eq!(val, ff.forward_inference(&coords).unwrap());
 
         for axis in 0..3 {

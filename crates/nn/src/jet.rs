@@ -3,217 +3,153 @@
 //! Physics-informed training of DeepOHeat needs `T`, `∂T/∂yᵢ` and
 //! `∂²T/∂yᵢ²` at every collocation point *as differentiable functions of
 //! the network parameters*. Rather than nesting reverse-mode passes, we
-//! propagate a seven-channel "jet" through the trunk network: the value,
-//! the three first derivatives and the three pure second derivatives
-//! (mixed second derivatives never appear in the Laplacian or in any of
-//! the boundary conditions, so they are not carried).
+//! propagate a "jet" through the trunk network: the value, the three first
+//! derivatives and the three pure second derivatives (mixed second
+//! derivatives never appear in the Laplacian or in any of the boundary
+//! conditions, so they are not carried).
 //!
-//! Every channel is an ordinary graph node, so one reverse pass over the
-//! final loss yields exact parameter gradients of all derivative fields.
+//! A jet carries only the channels its caller asks for
+//! ([`JetChannels`]): the PDE residual needs all seven, a boundary face
+//! only the value and the normal derivative. The channels are stacked as
+//! row blocks of one graph node, and every layer is one fused op
+//! ([`Graph::jet_linear`], [`Graph::jet_activate`]), so one reverse pass
+//! over the final loss yields exact parameter gradients of every carried
+//! derivative field.
 
-use deepoheat_autodiff::{Activation, Graph, Var};
-use deepoheat_linalg::Matrix;
+use deepoheat_autodiff::{AutodiffError, Graph, JetChannel, JetChannels, Var};
+use deepoheat_linalg::{LinalgError, Matrix};
 
 use crate::NnError;
 
-/// A second-order jet in three spatial dimensions.
-///
-/// All seven channels share the same matrix shape (`points × features`).
+/// A second-order jet in three spatial dimensions: one stacked graph node
+/// holding the carried channels as `points`-row blocks in stacking order
+/// ([`JetChannels::iter`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Jet3 {
-    /// The function value channel.
-    pub value: Var,
-    /// First derivatives with respect to `y₁, y₂, y₃`.
-    pub d1: [Var; 3],
-    /// Pure second derivatives `∂²/∂y₁², ∂²/∂y₂², ∂²/∂y₃²`.
-    pub d2: [Var; 3],
+    node: Var,
+    channels: JetChannels,
+    points: usize,
 }
 
 impl Jet3 {
-    /// Seeds a jet from a `points × 3` coordinate matrix.
+    /// Seeds a jet carrying `channels` from a `points × 3` coordinate
+    /// matrix.
     ///
-    /// The value channel is the coordinates themselves; the first-derivative
-    /// channel `i` is the constant matrix with ones in column `i`
-    /// (`∂y/∂yᵢ = eᵢ`); second derivatives start at zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coords` does not have exactly 3 columns.
-    pub fn seed_coordinates(graph: &mut Graph, coords: Matrix) -> Jet3 {
-        assert_eq!(
-            coords.cols(),
-            3,
-            "coordinate matrix must be points x 3, got {:?}",
-            coords.shape()
-        );
-        let n = coords.rows();
-        let value = graph.leaf(coords, false);
-        let zero = Matrix::zeros(n, 3);
-        let mut d1 = [value; 3];
-        let mut d2 = [value; 3];
-        for i in 0..3 {
-            let mut e = Matrix::zeros(n, 3);
-            for r in 0..n {
-                e[(r, i)] = 1.0;
-            }
-            d1[i] = graph.leaf(e, false);
-            d2[i] = graph.leaf(zero.clone(), false);
-        }
-        Jet3 { value, d1, d2 }
-    }
-
-    /// The Laplacian channel `Σᵢ ∂²/∂yᵢ²` as a new graph node.
+    /// The value channel is the coordinates themselves; the
+    /// first-derivative channel `i` is the constant matrix with ones in
+    /// column `i` (`∂y/∂yᵢ = eᵢ`); second derivatives are zero.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the underlying graph operations.
-    pub fn laplacian(&self, graph: &mut Graph) -> Result<Var, NnError> {
-        let s01 = graph.add(self.d2[0], self.d2[1])?;
-        Ok(graph.add(s01, self.d2[2])?)
+    /// Returns a shape error if `coords` does not have exactly 3 columns.
+    pub fn seed_coordinates(
+        graph: &mut Graph,
+        coords: &Matrix,
+        channels: JetChannels,
+    ) -> Result<Jet3, NnError> {
+        if coords.cols() != 3 {
+            return Err(LinalgError::ShapeMismatch {
+                op: "seed_coordinates",
+                lhs: coords.shape(),
+                rhs: (coords.rows(), 3),
+            }
+            .into());
+        }
+        let n = coords.rows();
+        let mut stacked = Matrix::zeros(channels.len() * n, 3);
+        for (block, channel) in channels.iter().enumerate() {
+            let rows = block * n..(block + 1) * n;
+            match channel {
+                JetChannel::Value => {
+                    stacked.as_mut_slice()[rows.start * 3..rows.end * 3]
+                        .copy_from_slice(coords.as_slice());
+                }
+                JetChannel::First(axis) => {
+                    for r in rows {
+                        stacked[(r, axis)] = 1.0;
+                    }
+                }
+                JetChannel::Second(_) => {}
+            }
+        }
+        let node = graph.jet_leaf(stacked, channels, false)?;
+        Ok(Jet3 { node, channels, points: n })
     }
-}
 
-/// Applies an elementwise activation to a jet using the Faà-di-Bruno rules
-///
-/// ```text
-/// a   = σ(z)
-/// aᵢ  = σ'(z) ⊙ zᵢ
-/// aᵢᵢ = σ''(z) ⊙ zᵢ² + σ'(z) ⊙ zᵢᵢ
-/// ```
-///
-/// # Errors
-///
-/// Propagates shape errors from the underlying graph operations.
-pub fn activation_jet(graph: &mut Graph, act: Activation, z: &Jet3) -> Result<Jet3, NnError> {
-    let a0 = graph.activation(z.value, act, 0)?;
-    let a1 = graph.activation(z.value, act, 1)?;
-    let a2 = graph.activation(z.value, act, 2)?;
-    let mut d1 = [a0; 3];
-    let mut d2 = [a0; 3];
-    for i in 0..3 {
-        d1[i] = graph.mul(a1, z.d1[i])?;
-        let zi_sq = graph.square(z.d1[i])?;
-        let t1 = graph.mul(a2, zi_sq)?;
-        let t2 = graph.mul(a1, z.d2[i])?;
-        d2[i] = graph.add(t1, t2)?;
+    /// Wraps a stacked jet node of `points` rows per channel.
+    pub(crate) fn from_node(node: Var, channels: JetChannels, points: usize) -> Jet3 {
+        Jet3 { node, channels, points }
     }
-    Ok(Jet3 { value: a0, d1, d2 })
+
+    /// The stacked graph node.
+    pub fn node(&self) -> Var {
+        self.node
+    }
+
+    /// The carried channels.
+    pub fn channels(&self) -> JetChannels {
+        self.channels
+    }
+
+    /// Collocation points (rows per channel).
+    pub fn points(&self) -> usize {
+        self.points
+    }
+
+    /// Copies one channel's `points × features` values out of `graph`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AutodiffError::MissingChannel`] (wrapped) if the jet does
+    /// not carry `channel`.
+    pub fn channel_value(&self, graph: &Graph, channel: JetChannel) -> Result<Matrix, NnError> {
+        let block =
+            self.channels.block(channel).ok_or(AutodiffError::MissingChannel { channel })?;
+        Ok(graph.value(self.node).row_block(block * self.points..(block + 1) * self.points)?)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepoheat_autodiff::Graph;
-
-    /// Evaluates f(y) = swish(y·w) for a 1-feature "layer" directly, to
-    /// compare jets against finite differences of a plain forward pass.
-    fn forward_plain(coords: &Matrix, w: &Matrix, act: Activation) -> Matrix {
-        coords.matmul(w).unwrap().map(|v| act.eval(0, v))
-    }
-
-    fn jet_channels(
-        coords: Matrix,
-        w: &Matrix,
-        act: Activation,
-    ) -> (Matrix, [Matrix; 3], [Matrix; 3]) {
-        let mut g = Graph::new();
-        let jet = Jet3::seed_coordinates(&mut g, coords);
-        let wv = g.leaf(w.clone(), false);
-        // Linear layer on the jet.
-        let value = g.matmul(jet.value, wv).unwrap();
-        let mut lin = Jet3 { value, d1: [value; 3], d2: [value; 3] };
-        for i in 0..3 {
-            lin.d1[i] = g.matmul(jet.d1[i], wv).unwrap();
-            lin.d2[i] = g.matmul(jet.d2[i], wv).unwrap();
-        }
-        let out = activation_jet(&mut g, act, &lin).unwrap();
-        (
-            g.value(out.value).clone(),
-            [g.value(out.d1[0]).clone(), g.value(out.d1[1]).clone(), g.value(out.d1[2]).clone()],
-            [g.value(out.d2[0]).clone(), g.value(out.d2[1]).clone(), g.value(out.d2[2]).clone()],
-        )
-    }
-
-    #[test]
-    fn jet_derivatives_match_finite_differences() {
-        let w = Matrix::from_rows(&[&[0.7, -0.4], &[0.2, 0.9], &[-0.5, 0.3]]).unwrap();
-        let coords = Matrix::from_rows(&[&[0.1, 0.2, 0.3], &[-0.4, 0.5, -0.6]]).unwrap();
-        let h = 1e-4;
-
-        for act in [Activation::Swish, Activation::Tanh, Activation::Sine] {
-            let (value, d1, d2) = jet_channels(coords.clone(), &w, act);
-            assert_eq!(value, forward_plain(&coords, &w, act));
-
-            for axis in 0..3 {
-                let mut plus = coords.clone();
-                let mut minus = coords.clone();
-                for r in 0..coords.rows() {
-                    plus[(r, axis)] += h;
-                    minus[(r, axis)] -= h;
-                }
-                let f_plus = forward_plain(&plus, &w, act);
-                let f_minus = forward_plain(&minus, &w, act);
-                let f_mid = forward_plain(&coords, &w, act);
-                for idx in 0..value.len() {
-                    let fd1 = (f_plus.as_slice()[idx] - f_minus.as_slice()[idx]) / (2.0 * h);
-                    let fd2 = (f_plus.as_slice()[idx] - 2.0 * f_mid.as_slice()[idx]
-                        + f_minus.as_slice()[idx])
-                        / (h * h);
-                    assert!(
-                        (d1[axis].as_slice()[idx] - fd1).abs() < 1e-6,
-                        "{act} d1 axis {axis}: {} vs {fd1}",
-                        d1[axis].as_slice()[idx]
-                    );
-                    assert!(
-                        (d2[axis].as_slice()[idx] - fd2).abs() < 1e-4,
-                        "{act} d2 axis {axis}: {} vs {fd2}",
-                        d2[axis].as_slice()[idx]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn laplacian_sums_second_derivatives() {
-        let mut g = Graph::new();
-        let coords = Matrix::from_rows(&[&[0.5, -0.5, 0.25]]).unwrap();
-        let jet = Jet3::seed_coordinates(&mut g, coords);
-        // Replace the d2 channels with known constants.
-        let jet = Jet3 {
-            value: jet.value,
-            d1: jet.d1,
-            d2: [
-                g.leaf(Matrix::filled(1, 3, 1.0), false),
-                g.leaf(Matrix::filled(1, 3, 2.0), false),
-                g.leaf(Matrix::filled(1, 3, 3.0), false),
-            ],
-        };
-        let lap = jet.laplacian(&mut g).unwrap();
-        assert!(g.value(lap).iter().all(|&v| v == 6.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "points x 3")]
-    fn seed_requires_three_columns() {
-        let mut g = Graph::new();
-        Jet3::seed_coordinates(&mut g, Matrix::zeros(4, 2));
-    }
 
     #[test]
     fn seed_channels_have_expected_values() {
         let mut g = Graph::new();
         let coords = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        let jet = Jet3::seed_coordinates(&mut g, coords.clone());
-        assert_eq!(g.value(jet.value), &coords);
+        let jet = Jet3::seed_coordinates(&mut g, &coords, JetChannels::all()).unwrap();
+        assert_eq!(jet.channel_value(&g, JetChannel::Value).unwrap(), coords);
         for i in 0..3 {
-            let d1 = g.value(jet.d1[i]);
+            let d1 = jet.channel_value(&g, JetChannel::First(i)).unwrap();
             for r in 0..2 {
                 for c in 0..3 {
                     assert_eq!(d1[(r, c)], if c == i { 1.0 } else { 0.0 });
                 }
             }
-            assert!(g.value(jet.d2[i]).iter().all(|&v| v == 0.0));
+            let d2 = jet.channel_value(&g, JetChannel::Second(i)).unwrap();
+            assert!(d2.iter().all(|&v| v == 0.0));
         }
+    }
+
+    #[test]
+    fn seed_requires_three_columns() {
+        let mut g = Graph::new();
+        let err = Jet3::seed_coordinates(&mut g, &Matrix::zeros(4, 2), JetChannels::all());
+        assert!(matches!(err, Err(NnError::Linalg(LinalgError::ShapeMismatch { .. }))));
+        assert!(g.is_empty());
+    }
+
+    #[test]
+    fn face_seed_carries_two_channels_and_rejects_the_rest() {
+        let mut g = Graph::new();
+        let coords = Matrix::from_rows(&[&[0.1, 0.2, 0.3]]).unwrap();
+        let jet = Jet3::seed_coordinates(&mut g, &coords, JetChannels::normal(2)).unwrap();
+        assert_eq!(g.value(jet.node()).shape(), (2, 3));
+        assert_eq!(
+            jet.channel_value(&g, JetChannel::First(2)).unwrap().as_slice(),
+            &[0.0, 0.0, 1.0]
+        );
+        let err = jet.channel_value(&g, JetChannel::Second(2)).unwrap_err();
+        assert!(matches!(err, NnError::Autodiff(AutodiffError::MissingChannel { .. })));
     }
 }

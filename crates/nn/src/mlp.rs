@@ -2,7 +2,7 @@ use deepoheat_autodiff::{Activation, Graph, Var};
 use deepoheat_linalg::Matrix;
 use rand::Rng;
 
-use crate::{activation_jet, BoundDense, BoundParameters, Dense, Jet3, NnError, Parameterized};
+use crate::{BoundDense, BoundParameters, Dense, Jet3, NnError, Parameterized};
 
 /// Architecture description for an [`Mlp`].
 ///
@@ -190,7 +190,9 @@ impl BoundMlp {
         Ok(h)
     }
 
-    /// Forward pass of a second-order jet through the whole stack.
+    /// Forward pass of a second-order jet through the whole stack: one
+    /// [`Graph::jet_linear`] per layer and one [`Graph::jet_activate`]
+    /// between layers.
     ///
     /// # Errors
     ///
@@ -198,8 +200,8 @@ impl BoundMlp {
     pub fn forward_jet(&self, graph: &mut Graph, x: &Jet3) -> Result<Jet3, NnError> {
         let mut h = self.layers[0].forward_jet(graph, x)?;
         for layer in &self.layers[1..] {
-            let a = activation_jet(graph, self.activation, &h)?;
-            h = layer.forward_jet(graph, &a)?;
+            let a = graph.jet_activate(h.node(), self.activation)?;
+            h = layer.forward_jet(graph, &Jet3::from_node(a, h.channels(), h.points()))?;
         }
         Ok(h)
     }
@@ -214,6 +216,7 @@ impl BoundParameters for BoundMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepoheat_autodiff::{JetChannel, JetChannels};
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -268,9 +271,10 @@ mod tests {
 
         let mut g = Graph::new();
         let bound = mlp.bind(&mut g);
-        let jet = Jet3::seed_coordinates(&mut g, coords);
+        let jet = Jet3::seed_coordinates(&mut g, &coords, JetChannels::all()).unwrap();
         let out = bound.forward_jet(&mut g, &jet).unwrap();
-        for (a, b) in g.value(out.value).iter().zip(plain.iter()) {
+        let value = out.channel_value(&g, JetChannel::Value).unwrap();
+        for (a, b) in value.iter().zip(plain.iter()) {
             assert!((a - b).abs() < 1e-13);
         }
     }
@@ -284,7 +288,7 @@ mod tests {
 
         let mut g = Graph::new();
         let bound = mlp.bind(&mut g);
-        let jet = Jet3::seed_coordinates(&mut g, coords.clone());
+        let jet = Jet3::seed_coordinates(&mut g, &coords, JetChannels::all()).unwrap();
         let out = bound.forward_jet(&mut g, &jet).unwrap();
 
         for axis in 0..3 {
@@ -297,8 +301,8 @@ mod tests {
             let f0 = mlp.forward_inference(&coords).unwrap().as_slice()[0];
             let fd1 = (fp - fm) / (2.0 * h);
             let fd2 = (fp - 2.0 * f0 + fm) / (h * h);
-            let a1 = g.value(out.d1[axis]).as_slice()[0];
-            let a2 = g.value(out.d2[axis]).as_slice()[0];
+            let a1 = out.channel_value(&g, JetChannel::First(axis)).unwrap().as_slice()[0];
+            let a2 = out.channel_value(&g, JetChannel::Second(axis)).unwrap().as_slice()[0];
             assert!((a1 - fd1).abs() < 1e-6, "axis {axis}: {a1} vs {fd1}");
             assert!((a2 - fd2).abs() < 1e-4, "axis {axis}: {a2} vs {fd2}");
         }

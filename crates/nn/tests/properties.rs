@@ -1,7 +1,7 @@
 //! Property-based tests of the network layer: jets vs finite differences
 //! of the plain forward pass, and optimiser behaviour.
 
-use deepoheat_autodiff::{Activation, Graph};
+use deepoheat_autodiff::{Activation, Graph, JetChannel, JetChannels};
 use deepoheat_linalg::Matrix;
 use deepoheat_nn::{Adam, AdamConfig, FourierFeatures, Jet3, Mlp, MlpConfig};
 use proptest::prelude::*;
@@ -23,7 +23,7 @@ proptest! {
 
         let mut g = Graph::new();
         let bound = mlp.bind(&mut g);
-        let jet = Jet3::seed_coordinates(&mut g, pts.clone());
+        let jet = Jet3::seed_coordinates(&mut g, &pts, JetChannels::all()).unwrap();
         let out = bound.forward_jet(&mut g, &jet).unwrap();
 
         for row in 0..pts.rows() {
@@ -37,8 +37,8 @@ proptest! {
                 let f0 = mlp.forward_inference(&pts).unwrap()[(row, 0)];
                 let fd1 = (fp - fm) / (2.0 * h);
                 let fd2 = (fp - 2.0 * f0 + fm) / (h * h);
-                let a1 = g.value(out.d1[axis])[(row, 0)];
-                let a2 = g.value(out.d2[axis])[(row, 0)];
+                let a1 = out.channel_value(&g, JetChannel::First(axis)).unwrap()[(row, 0)];
+                let a2 = out.channel_value(&g, JetChannel::Second(axis)).unwrap()[(row, 0)];
                 prop_assert!((a1 - fd1).abs() < 1e-5, "d1 axis {axis}: {a1} vs {fd1}");
                 prop_assert!((a2 - fd2).abs() < 5e-3, "d2 axis {axis}: {a2} vs {fd2}");
             }
@@ -52,7 +52,7 @@ proptest! {
         let h = 1e-4;
 
         let mut g = Graph::new();
-        let jet = Jet3::seed_coordinates(&mut g, pts.clone());
+        let jet = Jet3::seed_coordinates(&mut g, &pts, JetChannels::all()).unwrap();
         let out = ff.forward_jet(&mut g, &jet).unwrap();
         let f0 = ff.forward_inference(&pts).unwrap();
 
@@ -66,8 +66,10 @@ proptest! {
             for c in 0..f0.cols() {
                 let fd1 = (fp[(0, c)] - fm[(0, c)]) / (2.0 * h);
                 let fd2 = (fp[(0, c)] - 2.0 * f0[(0, c)] + fm[(0, c)]) / (h * h);
-                prop_assert!((g.value(out.d1[axis])[(0, c)] - fd1).abs() < 1e-5);
-                prop_assert!((g.value(out.d2[axis])[(0, c)] - fd2).abs() < 5e-3);
+                let a1 = out.channel_value(&g, JetChannel::First(axis)).unwrap()[(0, c)];
+                let a2 = out.channel_value(&g, JetChannel::Second(axis)).unwrap()[(0, c)];
+                prop_assert!((a1 - fd1).abs() < 1e-5);
+                prop_assert!((a2 - fd2).abs() < 5e-3);
             }
         }
     }
@@ -79,9 +81,10 @@ proptest! {
         let plain = mlp.forward_inference(&pts).unwrap();
         let mut g = Graph::new();
         let bound = mlp.bind(&mut g);
-        let jet = Jet3::seed_coordinates(&mut g, pts);
+        let jet = Jet3::seed_coordinates(&mut g, &pts, JetChannels::all()).unwrap();
         let out = bound.forward_jet(&mut g, &jet).unwrap();
-        for (a, b) in g.value(out.value).iter().zip(plain.iter()) {
+        let value = out.channel_value(&g, JetChannel::Value).unwrap();
+        for (a, b) in value.iter().zip(plain.iter()) {
             prop_assert!((a - b).abs() < 1e-12);
         }
     }

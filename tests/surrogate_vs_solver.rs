@@ -3,11 +3,10 @@
 //! solver's discretisation.
 
 use deepoheat::physics::{self, HtcInput, PhysicsScales};
-use deepoheat::{DeepOHeat, DeepOHeatConfig};
+use deepoheat::{DeepOHeat, DeepOHeatConfig, TemperatureJet};
 use deepoheat_autodiff::Graph;
 use deepoheat_fdm::{BoundaryCondition, Face, FluxMap, HeatProblem, SolveOptions, StructuredGrid};
 use deepoheat_linalg::Matrix;
-use deepoheat_nn::Jet3;
 use rand::SeedableRng;
 
 #[test]
@@ -65,11 +64,12 @@ fn surrogate_residuals_agree_with_solver_on_the_slab_problem() {
     let mut g = Graph::new();
     let mk = |g: &mut Graph, v: f64| g.leaf(Matrix::filled(1, n, v), false);
     let zeros = mk(&mut g, 0.0);
-    let bottom_jet = Jet3 {
-        value: mk(&mut g, theta_bottom),
-        d1: [zeros, zeros, mk(&mut g, slope)],
-        d2: [zeros; 3],
-    };
+    let slope_leaf = mk(&mut g, slope);
+    let bottom_jet = TemperatureJet::new(
+        mk(&mut g, theta_bottom),
+        [Some(zeros), Some(zeros), Some(slope_leaf)],
+        [Some(zeros); 3],
+    );
     let r = physics::convection_residual(
         &mut g,
         &bottom_jet,
@@ -83,11 +83,12 @@ fn surrogate_residuals_agree_with_solver_on_the_slab_problem() {
     }
 
     let theta_top = (solution.at(4, 4, 6) - t_amb) / delta_t;
-    let top_jet = Jet3 {
-        value: mk(&mut g, theta_top),
-        d1: [zeros, zeros, mk(&mut g, slope)],
-        d2: [zeros; 3],
-    };
+    let slope_leaf = mk(&mut g, slope);
+    let top_jet = TemperatureJet::new(
+        mk(&mut g, theta_top),
+        [Some(zeros), Some(zeros), Some(slope_leaf)],
+        [Some(zeros); 3],
+    );
     let flux_target = Matrix::filled(1, n, q);
     let r = physics::flux_residual(&mut g, &top_jet, Face::ZMax, &scales, &flux_target)
         .expect("residual");
